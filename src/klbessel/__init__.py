@@ -21,13 +21,14 @@ The submodules split by concern:
 ``summability``
     regularized pairings, Mellin test functions, and their closed forms
 ``cli``
-    the ``klbessel`` command-line front-end
+    the ``klbessel`` command-line front-end, also ``python -m klbessel``;
+    import it as ``klbessel.cli``, the package does not load it
 
 Both ``asymptotic`` and ``summability`` provide a ``report_to_json``; use
 the qualified names for those.
 """
 
-from . import asymptotic, bounds, cli, kernel, quadrature, special, summability
+from . import asymptotic, bounds, kernel, quadrature, special, summability
 from .asymptotic import (
     ExpansionReport,
     expansion_report,
@@ -93,8 +94,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # submodules
-    "asymptotic", "bounds", "cli", "kernel", "quadrature", "special",
-    "summability",
+    "asymptotic", "bounds", "kernel", "quadrature", "special", "summability",
     # quadrature
     "AccuracyError", "DEFAULT_CONFIG", "QuadratureConfig",
     # kernel

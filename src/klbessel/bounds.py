@@ -285,19 +285,17 @@ def _log_bound_delta_118(params, x, tau):
 
 
 def _composite_126_bracket(delta, m_cap, n_cap, x, tau):
-    from .special import beta as _beta
-
     root_x = math.sqrt(x)
     sum_n = sum(
-        2.0 ** (2 * n - 1) * math.gamma(2 * n - 0.5) * _beta(2 * n + 1.5, 2 * n - 0.5)
+        2.0 ** (2 * n - 1) * math.gamma(2 * n - 0.5) * _sp.beta(2 * n + 1.5, 2 * n - 0.5)
         for n in range(1, n_cap)
     )
     sum_m = sum(
-        4.0 ** n * math.gamma(2 * n + 0.5) * _beta(2 * n + 2.5, 2 * n + 0.5)
+        4.0 ** n * math.gamma(2 * n + 0.5) * _sp.beta(2 * n + 2.5, 2 * n + 0.5)
         for n in range(0, m_cap)
     )
-    tail = 4.0 ** n_cap * math.gamma(2 * n_cap - 1.5) * _beta(2 * n_cap - 1.5, 2 * n_cap + 0.5)
-    tail += 4.0 ** (m_cap - 1) * math.gamma(2 * m_cap - 0.5) * _beta(2 * m_cap - 0.5, 2 * m_cap + 1.5)
+    tail = 4.0 ** n_cap * math.gamma(2 * n_cap - 1.5) * _sp.beta(2 * n_cap - 1.5, 2 * n_cap + 0.5)
+    tail += 4.0 ** (m_cap - 1) * math.gamma(2 * m_cap - 0.5) * _sp.beta(2 * m_cap - 0.5, 2 * m_cap + 1.5)
     return (
         2.0 / math.sqrt(math.pi * x) * (1.0 + 2.0 * tau) * (1.0 + tau) ** (-delta)
         + 4.0 * root_x / math.sqrt(math.pi) * ((1.0 + tau) ** delta - 1.0)

@@ -12,8 +12,6 @@ from .quadrature import DEFAULT_CONFIG, integrate
 __all__ = [
     "complex_log_gamma",
     "pochhammer",
-    "beta",
-    "bessel_j",
     "bessel_i",
     "bessel_k0",
     "log_abs_gamma",
@@ -68,24 +66,6 @@ def pochhammer(a, n):
     for k in range(int(n)):
         out *= a + k
     return out
-
-
-def beta(z, w):
-    """Euler beta function Gamma(z)Gamma(w)/Gamma(z+w) for positive arguments."""
-    if not (z > 0.0 and w > 0.0):
-        raise ValueError("beta requires positive arguments")
-    return math.exp(_sp.betaln(z, w))
-
-
-def bessel_j(nu, x):
-    """Bessel function of the first kind J_nu(x).
-
-    Accepts scalars or arrays in ``x``.  The accuracy contract covers
-    nu <= 10, 0 <= x <= 1000, which is all the bound catalog ever needs.
-    """
-    if nu < -0.5:
-        raise ValueError("order must satisfy nu >= -1/2")
-    return _sp.jv(nu, x)
 
 
 def bessel_i(nu, x, cfg=DEFAULT_CONFIG):

@@ -9,9 +9,12 @@ which diverges at eps = 0 for a > 0 and is summed in the Abel sense
 against Mellin test functions e^{-x} x^{s-1}.  Pairings are computed on
 the tau side (a convergent gamma-weighted integral equal to the pairing
 by Fubini), closed forms for the two base tau-integrals give exact
-targets, and the limit operator is realized by an exact derivative
-engine for e^{x sin a}.  psi1 and psi2 are even entire functions of
-exponential type, carried as finite Taylor data.
+targets, and the limit operator acts through a-derivatives of
+e^{x sin a} and, for its closed Mellin target, of (1 - sin a)^{-s}.
+Both are read off truncated Taylor series in the shift h, built by the
+exp and power recurrences of power-series arithmetic.  psi1 and psi2
+are even entire functions of exponential type, carried as finite
+Taylor data.
 """
 
 from __future__ import annotations
@@ -328,6 +331,14 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
     written as sqrt(2 pi/tau) Re[e^{i phi} A(tau)] and the smooth
     amplitude A is cubic-splined in 1/tau, so the far tail costs almost
     nothing even for small eps.
+
+    Domain: for a > 0 the value is what is left after cancellation.  The
+    weight e^{-eps tau^2 + a tau} peaks near tau = a/(2 eps) at
+    e^{a^2/(4 eps)}, while the oscillating integral stays of order one,
+    so no error estimate falls below about 8 eps_mach e^{a^2/(4 eps)}:
+    1e-5 at a = 0.3, eps = 1e-3 and 2.5e12 at a = 0.5, eps = 1e-3.  A
+    tolerance below that floor raises AccuracyError; with the default
+    tolerances a^2/(4 eps) must stay below about 10.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -496,80 +507,65 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
 
 
 # ---------------------------------------------------------------------------
-# derivative engine on trigonometric-polynomial cofactors
+# a-derivatives by truncated Taylor arithmetic in the shift h
 
-def _trig_deriv(p):
-    """a-derivative of sum p[j,k] sin^j cos^k as a coefficient matrix."""
-    n0, n1 = p.shape
-    out = np.zeros((n0 + 1, n1 + 1))
-    j = np.arange(n0, dtype=float)[:, None]
-    k = np.arange(n1, dtype=float)[None, :]
-    out[0 : n0 - 1, 1 : n1 + 1] += (j * p)[1:n0, :]
-    out[1 : n0 + 1, 0 : n1 - 1] -= (k * p)[:, 1:n1]
-    return out
+def _check_order(n):
+    if not 0 <= n <= _DERIV_CAP:
+        raise ValueError(f"derivative order must lie in [0, {_DERIV_CAP}], got {n}")
 
 
-def _trig_eval(p, a):
-    n0, n1 = p.shape
-    sv = math.sin(a) ** np.arange(n0)
-    cv = math.cos(a) ** np.arange(n1)
-    return float(sv @ p @ cv)
+def _sin_series(a, m):
+    """Taylor coefficients of sin(a + h) in h through h^m."""
+    cycle = (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a))
+    return [cycle[k % 4] / math.factorial(k) for k in range(m + 1)]
 
 
-def _shift_cos(p):
-    n0, n1 = p.shape
-    out = np.zeros((n0, n1 + 1))
-    out[:, 1:] = p
-    return out
+def _exp_xsin_series(x, a, m):
+    """Taylor coefficients of e^{x sin(a+h)} / e^{x sin a} through h^m.
+
+    The exp-of-series recurrence E_k = (1/k) sum_{j=1..k} j g_j E_{k-j}
+    with g = x sin(a+h) (Knuth, TAOCP Vol. 2, 4.7).
+    """
+    g = _sin_series(a, m)
+    e = [1.0]
+    for k in range(1, m + 1):
+        e.append(x * sum(j * g[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return e
 
 
-def _shift_sin(p):
-    n0, n1 = p.shape
-    out = np.zeros((n0 + 1, n1))
-    out[1:, :] = p
-    return out
+def _power_series(s, a, m):
+    """Taylor coefficients of (1 - sin(a+h))^{-s} / (1 - sin a)^{-s} through h^m.
+
+    J.C.P. Miller's power recurrence P_k = 1/(k u_0) sum_{j=1..k}
+    ((1-s) j - k) u_j P_{k-j} with u = 1 - sin(a+h), so u_j = -g_j.
+    """
+    g = _sin_series(a, m)
+    u0 = 1.0 - g[0]
+    p = [1.0]
+    for k in range(1, m + 1):
+        p.append(sum((k - (1.0 - s) * j) * g[j] * p[k - j] for j in range(1, k + 1)) / (k * u0))
+    return p
 
 
-def _pad(p, shape):
-    out = np.zeros(shape)
-    out[: p.shape[0], : p.shape[1]] = p
-    return out
-
-
-def _add(p, q):
-    shape = (max(p.shape[0], q.shape[0]), max(p.shape[1], q.shape[1]))
-    return _pad(p, shape) + _pad(q, shape)
+def _apply_operator(psi1, psi2, series):
+    """[sum_n c_{2n,1} D^{2n} + sum_n c_{2n,2} D^{2n+1}] of a function whose
+    Taylor coefficients through h^m are ``series(m)``; D^m = m! [h^m]."""
+    terms = [(2 * n, c) for n, c in enumerate(psi1.even_coeffs) if c != 0.0]
+    terms += [(2 * n + 1, c) for n, c in enumerate(psi2.even_coeffs) if c != 0.0]
+    m = max((k for k, _ in terms), default=0)
+    _check_order(m)
+    coeffs = series(m)
+    return sum(c * math.factorial(k) * coeffs[k] for k, c in terms)
 
 
 def deriv_exp_xsina(n, x, a):
-    """n-th a-derivative of e^{x sin a}, exactly.
+    """n-th a-derivative of e^{x sin a}, for orders n in [0, 60].
 
-    The derivative is P_n(sin a, cos a) e^{x sin a} with the cofactor
-    polynomial built by P_{n+1} = P_n' + (x cos a) P_n; coefficients stay
-    within float64 range for n <= 60.
+    n! times the h^n Taylor coefficient of e^{x sin(a+h)}; raises
+    OverflowError where e^{x sin a} itself leaves float range.
     """
-    if not 0 <= n <= _DERIV_CAP:
-        raise ValueError(f"n must lie in [0, {_DERIV_CAP}]")
-    p = np.ones((1, 1))
-    for _ in range(n):
-        p = _add(_trig_deriv(p), x * _shift_cos(p))
-    return _trig_eval(p, a) * math.exp(x * math.sin(a))
-
-
-def _dm_power_one_minus_sin(s, a, m_max):
-    """Values of d^m/da^m (1 - sin a)^{-s} for m = 0..m_max.
-
-    The m-th derivative is Q_m(sin a, cos a) (1 - sin a)^{-s-m} with
-    Q_{m+1} = (1 - sin a) Q_m' + (s + m) cos a Q_m.
-    """
-    base = 1.0 - math.sin(a)
-    q = np.ones((1, 1))
-    vals = []
-    for m in range(m_max + 1):
-        vals.append(_trig_eval(q, a) * base ** (-s - m))
-        dq = _trig_deriv(q)
-        q = _add(_add(dq, -_shift_sin(dq)), (s + m) * _shift_cos(q))
-    return vals
+    _check_order(n)
+    return math.factorial(n) * _exp_xsin_series(x, a, n)[n] * math.exp(x * math.sin(a))
 
 
 def theorem2_limit(x, a):
@@ -591,42 +587,28 @@ def theorem3_value(x, a, psi1, psi2):
     """Operator form of the limit: psi1 and psi2 acting through a-derivatives.
 
     (pi/2) [ sum_n c_{2n,1} D^{2n} + sum_n c_{2n,2} D^{2n+1} ] e^{x sin a},
-    D = d/da, summed over the supplied coefficients.
+    D = d/da, summed over the supplied coefficients (orders up to 60).
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
     if not 0.0 <= a < 0.5 * math.pi:
         raise ValueError("a must lie in [0, pi/2)")
     _check_types(a, psi1, psi2)
-    acc = 0.0
-    for n, c in enumerate(psi1.even_coeffs):
-        if c != 0.0:
-            acc += c * deriv_exp_xsina(2 * n, x, a)
-    for n, c in enumerate(psi2.even_coeffs):
-        if c != 0.0:
-            acc += c * deriv_exp_xsina(2 * n + 1, x, a)
-    return 0.5 * math.pi * acc
+    acc = _apply_operator(psi1, psi2, lambda m: _exp_xsin_series(x, a, m))
+    return 0.5 * math.pi * acc * math.exp(x * math.sin(a))
 
 
 def theorem3_target(s, a, psi1, psi2):
     """Mellin pairing of the operator limit, in closed form.
 
     (pi/2) Gamma(s) [ sum_n c_{2n,1} D^{2n} + sum_n c_{2n,2} D^{2n+1} ]
-    (1 - sin a)^{-s}, the term-by-term a-derivatives of the base pairing.
+    (1 - sin a)^{-s}, the term-by-term a-derivatives of the base pairing
+    (orders up to 60).
     """
     _check_sa(s, a)
     _check_types(a, psi1, psi2)
-    m1 = 2 * (len(psi1.even_coeffs) - 1) if psi1.even_coeffs else 0
-    m2 = 2 * (len(psi2.even_coeffs) - 1) + 1 if psi2.even_coeffs else 0
-    d = _dm_power_one_minus_sin(s, a, max(m1, m2))
-    acc = 0.0
-    for n, c in enumerate(psi1.even_coeffs):
-        if c != 0.0:
-            acc += c * d[2 * n]
-    for n, c in enumerate(psi2.even_coeffs):
-        if c != 0.0:
-            acc += c * d[2 * n + 1]
-    return 0.5 * math.pi * math.gamma(s) * acc
+    acc = _apply_operator(psi1, psi2, lambda m: _power_series(s, a, m))
+    return 0.5 * math.pi * math.gamma(s) * acc * (1.0 - math.sin(a)) ** (-s)
 
 
 def theorem3_check(q, cfg=DEFAULT_CONFIG):

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import klbessel
 from klbessel import asymptotic
 from klbessel.cli import RunConfig, main
 
@@ -309,3 +314,16 @@ class TestOutputAndEnvironment:
         args = build_parser().parse_args(
             ["certify", "--id", "LEBEDEV_15", "--workers", "1"])
         assert _run_config(args).workers == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_m_klbessel_is_clean(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(klbessel.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "klbessel", "catalog"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        header, rows = parse_csv(proc.stdout)
+        assert header[0] == "id" and len(rows) == 17

@@ -6,9 +6,7 @@ import pytest
 
 from klbessel.special import (
     bessel_i,
-    bessel_j,
     bessel_k0,
-    beta,
     complex_log_gamma,
     log_abs_gamma,
     log_sinh,
@@ -71,24 +69,6 @@ def test_pochhammer_splits():
         whole = pochhammer(a, m + n)
         split = pochhammer(a, m) * pochhammer(a + m, n)
         assert abs(whole - split) <= 1e-14 * abs(whole)
-
-
-def test_beta():
-    assert math.isclose(beta(1.0, 1.0), 1.0, rel_tol=1e-15)
-    assert math.isclose(beta(0.5, 0.5), math.pi, rel_tol=1e-14)
-    assert math.isclose(beta(2.0, 3.0), 1.0 / 12.0, rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        beta(0.0, 1.0)
-    with pytest.raises(ValueError):
-        beta(1.0, -2.0)
-
-
-def test_bessel_j():
-    assert bessel_j(0.0, 0.0) == 1.0
-    assert bessel_j(1.0, 0.0) == 0.0
-    assert math.isclose(bessel_j(0.5, 0.5 * math.pi), 2.0 / math.pi, rel_tol=1e-13)
-    with pytest.raises(ValueError):
-        bessel_j(-0.6, 1.0)
 
 
 def test_bessel_i_series(cfg):

@@ -42,6 +42,102 @@ THEOREM3_VALUE_COS = 1.5688316043043684  # x=1, a=0, psi1=cos(0.05 tau)
 DERIV4_AT_13_04 = -11.213660893920027  # d^4/da^4 e^{x sin a} at (1.3, 0.4)
 DERIV5_POW_03 = 114.93178955140337  # d^5/da^5 (1 - sin a)^{-3/4} at a=0.3
 
+# Frozen a-derivatives, computed once with mpmath 1.3 at 50 digits (each a
+# and x is the float64 value written here):
+#   python -c "import mpmath as mp; mp.mp.dps = 50; print([(a, m, x,
+#     float(mp.diff(lambda t: mp.exp(x * mp.sin(t)), a, m)))
+#     for a in (0.3, 0.7, 1.2, 1.5) for m in (5, 10, 20, 30, 60)
+#     for x in (0.5, 2.0, 20.0)])"
+# and the same with (1 - mp.sin(t)) ** -0.75 (no x) for DERIV_POW_REF.
+# Both families agree to 1e-16 with the exp and power recurrences of
+# truncated Taylor arithmetic run in 60-digit mpmath arithmetic.
+# (a, m, x, d^m/da^m e^{x sin a})
+DERIV_EXP_REF = (
+    (0.3, 5, 0.5, 0.541075910079709),
+    (0.3, 5, 2.0, -102.30742249191512),
+    (0.3, 5, 20.0, 765794288.3463436),
+    (0.3, 10, 0.5, 10.1488014634877),
+    (0.3, 10, 2.0, -114676.6382824212),
+    (0.3, 10, 20.0, 526351747215373.75),
+    (0.3, 20, 0.5, 83080879.33199532),
+    (0.3, 20, 2.0, 5186069121974.209),
+    (0.3, 20, 20.0, 3.439633616688178e+26),
+    (0.3, 30, 0.5, 2.418236637761405e+17),
+    (0.3, 30, 2.0, 2.2647737861180998e+23),
+    (0.3, 30, 20.0, -1.314455113124779e+40),
+    (0.3, 60, 0.5, 2.1418032398604694e+49),
+    (0.3, 60, 2.0, 1.0567099460784968e+59),
+    (0.3, 60, 20.0, -6.805458454628185e+83),
+    (0.7, 5, 0.5, 2.8898791892784357),
+    (0.7, 5, 2.0, -15.785412866054221),
+    (0.7, 5, 20.0, 150402638413.5837),
+    (0.7, 10, 0.5, 634.7275127331706),
+    (0.7, 10, 2.0, -70496.62204062285),
+    (0.7, 10, 20.0, -2.3554216164135296e+16),
+    (0.7, 20, 0.5, 2869992436.208395),
+    (0.7, 20, 2.0, 4795895672792.085),
+    (0.7, 20, 20.0, 3.025468721233095e+28),
+    (0.7, 30, 0.5, -7.25590735684755e+17),
+    (0.7, 30, 2.0, 7.865750613196056e+23),
+    (0.7, 30, 20.0, 2.1672035900870228e+42),
+    (0.7, 60, 0.5, 7.534603272714286e+49),
+    (0.7, 60, 2.0, -7.756324080220241e+57),
+    (0.7, 60, 20.0, -6.485665342518689e+87),
+    (1.2, 5, 0.5, 3.1090113158260024),
+    (1.2, 5, 2.0, 309.9894601446282),
+    (1.2, 5, 20.0, -1864365840267.1692),
+    (1.2, 10, 0.5, -140.32011460449263),
+    (1.2, 10, 2.0, 343721.3052198103),
+    (1.2, 10, 20.0, -5.545054916341558e+17),
+    (1.2, 20, 0.5, -4751973171.438517),
+    (1.2, 20, 2.0, -248662246685783.38),
+    (1.2, 20, 20.0, -2.8408729728137878e+29),
+    (1.2, 30, 0.5, 2.9582649012277565e+18),
+    (1.2, 30, 2.0, 8.819576755634147e+23),
+    (1.2, 30, 20.0, 1.408390411531875e+44),
+    (1.2, 60, 0.5, 1.3040648411918213e+50),
+    (1.2, 60, 2.0, 1.6022242759457797e+60),
+    (1.2, 60, 20.0, -9.631182317308152e+89),
+    (1.5, 5, 0.5, 0.7101608440155238),
+    (1.5, 5, 2.0, 93.6390339427048),
+    (1.5, 5, 20.0, 3822347568908.3516),
+    (1.5, 10, 0.5, -897.5917046016059),
+    (1.5, 10, 2.0, -669140.5819761368),
+    (1.5, 10, 20.0, -8.113675225873774e+17),
+    (1.5, 20, 0.5, 6824930698.8199215),
+    (1.5, 20, 2.0, 246198520442469.03),
+    (1.5, 20, 20.0, 2.147481487261984e+29),
+    (1.5, 30, 0.5, -2.7524358811488973e+18),
+    (1.5, 30, 2.0, -3.2204947449230315e+24),
+    (1.5, 30, 20.0, 1.4924058054658998e+44),
+    (1.5, 60, 0.5, 1.1375064259844612e+50),
+    (1.5, 60, 2.0, 8.089929128272216e+59),
+    (1.5, 60, 20.0, -3.4550818725350573e+90),
+)
+# (a, m, d^m/da^m (1 - sin a)^{-3/4})
+DERIV_POW_REF = (
+    (0.3, 5, 114.93178955140337),
+    (0.3, 10, 1434728.7107623485),
+    (0.3, 20, 1.2167927130056454e+17),
+    (0.3, 30, 1.470322934060618e+30),
+    (0.3, 60, 4.8921905465110634e+76),
+    (0.7, 5, 1342.0705813892514),
+    (0.7, 10, 110830939.64323597),
+    (0.7, 20, 4.117726053711939e+20),
+    (0.7, 30, 2.1799127482422722e+35),
+    (0.7, 60, 6.099661963140676e+86),
+    (1.2, 5, 345166.7591430532),
+    (1.2, 10, 2035573265529.9807),
+    (1.2, 20, 3.858895732099015e+28),
+    (1.2, 30, 1.0424386298713225e+47),
+    (1.2, 60, 3.875686101835244e+109),
+    (1.5, 5, 16307069547.237825),
+    (1.5, 10, 3.789917711198347e+20),
+    (1.5, 20, 1.1159540159846293e+44),
+    (1.5, 30, 4.682518285891084e+69),
+    (1.5, 60, 6.524057357909764e+153),
+)
+
 
 def _prefactor(s):
     return 2.0 ** (-s) * math.sqrt(math.pi) / math.gamma(s + 0.5)
@@ -281,6 +377,36 @@ class TestDerivExpXsina:
             deriv_exp_xsina(61, 0.5, 0.2)
         with pytest.raises(ValueError):
             deriv_exp_xsina(-1, 0.5, 0.2)
+
+
+class TestDerivativeEnginesFrozen:
+    @pytest.mark.parametrize("a,m,x,expected", DERIV_EXP_REF)
+    def test_exp_family(self, a, m, x, expected):
+        assert deriv_exp_xsina(m, x, a) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("a,m,expected", DERIV_POW_REF)
+    def test_power_family_through_target(self, a, m, expected):
+        # D^m (1 - sin a)^{-3/4} reached through theorem3_target with a
+        # single coefficient exempted from the Cauchy check (n0): unlike
+        # the tiny high coefficients of an admissible cos_spec, it weighs
+        # D^m fully, so an error at steep tilt shows in the target
+        n = m // 2
+        spec = EntireFunctionSpec((0.0,) * n + (1.0,), 0.0, n0=2 * n)
+        psi1, psi2 = (spec, PSI_ZERO) if m % 2 == 0 else (PSI_ZERO, spec)
+        got = theorem3_target(0.75, a, psi1, psi2)
+        assert got == pytest.approx(0.5 * math.pi * math.gamma(0.75) * expected, rel=1e-11)
+
+    def test_operator_order_cap(self):
+        # cos_spec(b, terms=40) reaches D^78: both operator forms refuse it
+        spec = cos_spec(0.01, terms=40)
+        with pytest.raises(ValueError):
+            theorem3_value(1.0, 0.3, spec, PSI_ZERO)
+        with pytest.raises(ValueError):
+            theorem3_target(1.0, 0.3, spec, PSI_ZERO)
+        head = EntireFunctionSpec((0.0,) * 30 + (1.0,), 0.0, n0=60)
+        theorem3_target(1.0, 0.3, head, PSI_ZERO)
+        with pytest.raises(ValueError):
+            theorem3_target(1.0, 0.3, PSI_ZERO, head)
 
 
 # ---------------------------------------------------------------------------
