@@ -4,7 +4,9 @@ Three independent routes are provided for K_{i tau}(x): a rotated-contour
 quadrature oracle, a series-plus-remainder key formula, and the definitional
 series through I_{+-i tau}.  They share no numerical machinery beyond the
 panel integrator, so pairwise agreement is a genuine cross-check.  A fourth
-evaluator handles complex order mu + i tau.
+evaluator handles complex order mu + i tau.  The definitional series is
+summed by one array core that returns the scaled value K e^{pi tau/2} and
+its cancellation monitor for a whole array of orders at once.
 """
 
 from __future__ import annotations
@@ -301,18 +303,66 @@ def k_itau_smallx(p):
     return (prefactor * (1.0 + _series_tail(x, tau, 3))).real
 
 
+def _defseries_scaled(x, tau):
+    """K_{i tau}(x) e^{pi tau/2} from the definitional series, for one x and a tau array.
+
+    Sums e^{-pi tau/2} I_{i tau}(x), with
+    I_{i tau}(x) = (x/2)^{i tau} sum_k (x/2)^{2k} / (k! Gamma(k+1+i tau))
+    and the e^{-pi tau/2} folded into the first term, and assembles
+
+        K_{i tau}(x) e^{pi tau/2} = -2 pi Im[e^{-pi tau/2} I_{i tau}(x)] / (1 - e^{-2 pi tau}),
+
+    the scaled form of -pi Im I_{i tau}(x) / sinh(pi tau), in which no
+    factor overflows however large tau is.
+
+    Returns
+    -------
+    (scaled, monitor) : arrays shaped like ``tau``
+        ``monitor`` is machine epsilon times sum_k (k+1) |term_k| (term k
+        carries the rounding of k recurrence steps), propagated through the
+        same factors and quoted relative to the scaled natural scale
+        sqrt(2 pi / tau).  Summation stops once every node has converged or
+        lost all its digits (monitor >= 1); a node whose series did not
+        converge gets an infinite monitor.
+    """
+    tau = np.asarray(tau, dtype=float)
+    itau = 1j * tau
+    term = np.exp(-_sp.loggamma(1.0 + itau) - 0.5 * math.pi * tau)
+    total = term.copy()
+    weighted = np.abs(term)
+    # monitor = gain * weighted, with 2 pi / sqrt(2 pi / tau) = sqrt(2 pi tau)
+    one_minus = -np.expm1(-2.0 * math.pi * tau)
+    gain = _EPS * np.sqrt(2.0 * math.pi * tau) / one_minus
+    lost = 1.0 / gain
+    q = 0.25 * x * x
+    converged = np.zeros(tau.shape, dtype=bool)
+    for k in range(1, 401):
+        term *= q / (k * (k + itau))
+        total += term
+        mag = np.abs(term)
+        weighted += (k + 1) * mag
+        converged = mag <= 1e-18 * weighted
+        if np.all(converged | (weighted >= lost)):
+            break
+    phase = np.exp(itau * math.log(0.5 * x))
+    scaled = -2.0 * math.pi * (phase * total).imag / one_minus
+    monitor = np.where(converged, gain * weighted, np.inf)
+    return scaled, monitor
+
+
 def k_itau_defseries(p):
     """K_{i tau}(x) from the definitional series through I_{+-i tau}.
 
     Sums I_{i tau}(x) = (x/2)^{i tau} sum_k (x/2)^{2k} / (k! Gamma(k+1+i tau))
     in complex arithmetic and assembles
 
-        K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau).
+        K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau),
 
-    The assembly divides a cancellation-prone imaginary part by sinh(pi tau),
-    so a running cancellation monitor (machine epsilon times the summed term
-    magnitudes, propagated through the same factors) guards the result; the
-    contracted domain x <= 10, tau <= 10 keeps it far below budget.
+    in the scaled form of `_defseries_scaled`, the one implementation of
+    the series.  The assembly divides a cancellation-prone imaginary part
+    by sinh(pi tau), so the running cancellation monitor of that core
+    guards the result; the contracted domain x <= 10, tau <= 10 keeps it
+    far below budget.
 
     Raises
     ------
@@ -322,24 +372,10 @@ def k_itau_defseries(p):
     x, tau = p.x, p.tau
     if x > 10.0 or tau > 10.0:
         raise ValueError("definitional series is contracted for x <= 10, tau <= 10")
-    itau = 1j * tau
-    term = cmath.exp(-_sp.loggamma(1.0 + itau))
-    total = term
-    abs_sum = abs(term)
-    q = 0.25 * x * x
-    for k in range(400):
-        term *= q / ((k + 1) * (k + 1 + itau))
-        total += term
-        abs_sum += abs(term)
-        if abs(term) <= 1e-18 * abs_sum:
-            break
-    i_itau = cmath.exp(itau * math.log(0.5 * x)) * total
-    sinh_pi_tau = math.sinh(math.pi * tau)
-    value = -math.pi * i_itau.imag / sinh_pi_tau
-    noise = _EPS * abs_sum * math.pi / sinh_pi_tau
-    if noise > _DEFSERIES_BUDGET * natural_scale(tau):
+    scaled, monitor = _defseries_scaled(x, np.array([tau]))
+    if not monitor[0] <= _DEFSERIES_BUDGET:
         raise AccuracyError(
             "definitional series lost too many digits to cancellation",
-            achieved=noise / natural_scale(tau),
+            achieved=float(monitor[0]),
         )
-    return value
+    return float(scaled[0]) * math.exp(-0.5 * math.pi * tau)

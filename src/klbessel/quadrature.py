@@ -118,9 +118,11 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
     ------
     AccuracyError
         If the error estimate does not fall within ``abs_tol + rel_tol *
-        |value|`` after ``max_refinements`` rounds; in particular for any
-        tolerance below the roundoff floor.  ``achieved`` carries the last
-        (floored) estimate.
+        |value|`` after ``max_refinements`` rounds, or at once when the
+        levels agree to within the roundoff floor and the floor alone
+        misses the tolerance (halving cannot shrink the absolute panel
+        sum, so no later round could succeed).  ``achieved`` carries the
+        last (floored) estimate.
     """
     edges = np.asarray(edges, dtype=float)
     prev = np.sum(panel_sums(f, edges))
@@ -129,9 +131,15 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
         edges = _halved(edges)
         sums = panel_sums(f, edges)
         cur = np.sum(sums)
-        err = max(abs(cur - prev), _ROUNDOFF_FLOOR * float(np.sum(np.abs(sums))))
+        diff = abs(cur - prev)
+        floor = _ROUNDOFF_FLOOR * float(np.sum(np.abs(sums)))
+        err = max(diff, floor)
         if err <= cfg.abs_tol + cfg.rel_tol * abs(cur):
             return cur
+        if diff <= floor:
+            # the floor alone misses the tolerance, and halving cannot
+            # shrink sum(|panel sums|) (triangle inequality)
+            raise AccuracyError("tolerance is below the roundoff floor", achieved=err)
         prev = cur
     raise AccuracyError("quadrature did not converge", achieved=err)
 

@@ -6,15 +6,19 @@ The object of study is
                   + psi2(tau) tau sinh((pi/2+a) tau) ] K_{i tau}(x) dtau,
 
 which diverges at eps = 0 for a > 0 and is summed in the Abel sense
-against Mellin test functions e^{-x} x^{s-1}.  Pairings are computed on
-the tau side (a convergent gamma-weighted integral equal to the pairing
-by Fubini), closed forms for the two base tau-integrals give exact
-targets, and the limit operator acts through a-derivatives of
-e^{x sin a} and, for its closed Mellin target, of (1 - sin a)^{-s}.
-Both are read off truncated Taylor series in the shift h, built by the
-exp and power recurrences of power-series arithmetic.  psi1 and psi2
-are even entire functions of exponential type, carried as finite
-Taylor data.
+against Mellin test functions e^{-x} x^{s-1}.  Pointwise, `f_epsilon`
+integrates whole node arrays: its head takes the kernel from the
+definitional series with a per-node cancellation check (the contour
+oracle only where that check fails), its tail a Chebyshev interpolant
+of the large-order amplitude whose trailing coefficients are checked.
+Pairings are computed on the tau side (a convergent gamma-weighted
+integral equal to the pairing by Fubini), closed forms for the two base
+tau-integrals give exact targets, and the limit operator acts through
+a-derivatives of e^{x sin a} and, for its closed Mellin target, of
+(1 - sin a)^{-s}.  Both are read off truncated Taylor series in the
+shift h, built by the exp and power recurrences of power-series
+arithmetic.  psi1 and psi2 are even entire functions of exponential
+type, carried as finite Taylor data.
 """
 
 from __future__ import annotations
@@ -24,15 +28,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from scipy import special as _sp
-
-from scipy.interpolate import CubicSpline
 
 from .asymptotic import phase as _expansion_phase
 from .asymptotic import remainder_explicit, stirling_r_gamma
 from .kernel import EvaluationPoint, k_itau_oracle, k_itau_smallx
-from .kernel import _remainder_integral, _series_tail
-from .quadrature import DEFAULT_CONFIG, integrate, panel_sums, phase_edges
+from .kernel import _defseries_scaled, _remainder_integral, _series_tail
+from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, panel_sums, phase_edges
 from .special import complex_log_gamma
 
 __all__ = [
@@ -63,7 +66,6 @@ __all__ = [
 DEFAULT_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
 _LN2 = math.log(2.0)
-_EPS = np.finfo(float).eps
 _DERIV_CAP = 60
 
 
@@ -109,14 +111,6 @@ class EntireFunctionSpec:
     @property
     def is_zero(self):
         return all(c == 0.0 for c in self.even_coeffs)
-
-    def poly_degree(self):
-        """Degree in tau of the carried polynomial."""
-        deg = 0
-        for n, c in enumerate(self.even_coeffs):
-            if c != 0.0:
-                deg = 2 * n
-        return deg
 
     def __call__(self, tau):
         """Evaluate the (finite) even series; vectorized over tau."""
@@ -296,19 +290,29 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
 
 
 def _scaled_kernel(x, tau, cfg):
-    """K_{i tau}(x) e^{pi tau/2}, stable for all tau.
+    """K_{i tau}(x) e^{pi tau/2} on an array of tau, stable for all tau.
 
-    Inside the contour oracle's certified range the oracle value is
-    rescaled directly; for larger tau the expansion identity (leading
-    cosine plus the explicitly constructed remainder, exact at every
-    order) supplies the scaled value.  The identity route also dodges
-    the float64 underflow of the raw kernel near tau ~ 450.
+    Every node first takes the definitional series (`_defseries_scaled`,
+    one vectorized pass), and keeps it when the series' cancellation
+    monitor is within ``cfg.rel_tol`` of the natural scale, as it is
+    throughout for moderate x.  A rejected node (monitor above the
+    tolerance, NaN or inf) takes the scalar route: inside the contour
+    oracle's certified range tau <= max(40, 2x) the oracle value is
+    rescaled directly; beyond it the expansion identity (leading cosine
+    plus the explicitly constructed remainder, exact at every order)
+    supplies the scaled value and dodges the float64 underflow of the
+    raw kernel near tau ~ 450.
     """
-    p = EvaluationPoint(x, tau)
-    if tau <= 40.0 or tau <= 2.0 * x:
-        return k_itau_oracle(p, cfg) * math.exp(0.5 * math.pi * tau)
-    osc = math.cos(_expansion_phase(p)) + remainder_explicit(p, 1, cfg)
-    return math.sqrt(2.0 * math.pi / tau) * osc
+    tau = np.asarray(tau, dtype=float)
+    scaled, monitor = _defseries_scaled(x, tau)
+    for i in np.flatnonzero(~(monitor <= cfg.rel_tol)):
+        p = EvaluationPoint(x, float(tau[i]))
+        if p.tau <= max(40.0, 2.0 * x):
+            scaled[i] = k_itau_oracle(p, cfg) * math.exp(0.5 * math.pi * p.tau)
+        else:
+            osc = math.cos(_expansion_phase(p)) + remainder_explicit(p, 1, cfg)
+            scaled[i] = math.sqrt(2.0 * math.pi / p.tau) * osc
+    return scaled
 
 
 def _expansion_amplitude(x, tau, cfg):
@@ -321,18 +325,60 @@ def _expansion_amplitude(x, tau, cfg):
     return (1.0 + r) * (1.0 + _series_tail(x, tau, 1) + _remainder_integral(x, tau, 1, cfg))
 
 
+def _amplitude_interpolant(x, u_lo, u_hi, reach, cfg):
+    """Chebyshev interpolant of the expansion amplitude A in u = 1/tau on [u_lo, u_hi].
+
+    ``reach`` bounds how far an amplitude error delta can move the
+    integral that uses A (by at most delta * reach).  The degree starts at
+    15 and doubles up to 63 until the two trailing coefficients, the
+    interpolation error, satisfy
+    delta * reach <= abs_tol + rel_tol * max|A| * reach.
+
+    Raises
+    ------
+    AccuracyError
+        If degree 63 still misses that tolerance; ``achieved`` carries the
+        last trailing coefficient size.
+    """
+    def samples(u):
+        return np.array([_expansion_amplitude(x, 1.0 / ui, cfg) for ui in u])
+
+    for deg in (15, 31, 63):
+        amp = Chebyshev.interpolate(samples, deg, domain=[u_lo, u_hi])
+        trailing = float(np.max(np.abs(amp.coef[-2:])))
+        peak = float(np.max(np.abs(amp.linspace(2 * deg + 2)[1])))
+        if trailing * reach <= cfg.abs_tol + cfg.rel_tol * peak * reach:
+            return amp
+    raise AccuracyError("Chebyshev amplitude interpolant did not converge", achieved=trailing)
+
+
 def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
     """Pointwise regularized integral; diagnostic only for a > 0.
 
     The integrand oscillates through the kernel with phase
     tau log(2 tau/(e x)); panels follow the phase, the hyperbolic and
     Gaussian factors are assembled in log space against the kernel's
-    e^{-pi tau/2} decay.  Beyond the oracle's range the kernel is
-    written as sqrt(2 pi/tau) Re[e^{i phi} A(tau)] and the smooth
-    amplitude A is cubic-splined in 1/tau, so the far tail costs almost
-    nothing even for small eps.
+    e^{-pi tau/2} decay.
 
-    Domain: for a > 0 the value is what is left after cancellation.  The
+    Head, tau <= max(40, 2x): the scaled kernel comes from the
+    definitional series on each whole node array, with a per-node
+    cancellation check that sends only the rejected nodes to the contour
+    oracle (none at x <= 5, tau below about 0.02 at x = 10, tau below
+    about 10 at x = 20).
+    Tail, beyond the head: the kernel is written as
+    sqrt(2 pi/tau) Re[e^{i phi} A(tau)] and the smooth amplitude A is
+    interpolated in 1/tau by a Chebyshev series of degree 15 to 63 whose
+    trailing coefficients are checked against the tolerance, so the far
+    tail costs 16 amplitude evaluations even for small eps.  The tail is
+    built first, so a failing amplitude raises before the head is paid.
+
+    Domain: x up to about 20.  At x = 30 the tail's amplitude
+    (`_remainder_integral` at N = 1) misses the tolerance and raises
+    AccuracyError; at x = 20 the amplitude carries noise near 1e-10,
+    which the check admits only where the Gaussian has made the tail
+    small (eps = 1e-2, not eps = 1e-3).
+
+    For a > 0 the value is what is left after cancellation.  The
     weight e^{-eps tau^2 + a tau} peaks near tau = a/(2 eps) at
     e^{a^2/(4 eps)}, while the oscillating integral stays of order one,
     so no error estimate falls below about 8 eps_mach e^{a^2/(4 eps)}:
@@ -369,24 +415,26 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
         tmax = (a + math.sqrt(a * a + 4.0 * eps * need)) / (2.0 * eps)
     t_split = min(tmax, max(40.0, 2.0 * x))
 
+    tail = 0.0
+    if tmax > t_split:
+        # an amplitude error delta moves the tail by at most delta * reach
+        reach = float(np.sum(panel_sums(
+            lambda t: np.abs(weight(t)) * np.sqrt(2.0 * math.pi / t),
+            np.linspace(t_split, tmax, 17),
+        )))
+        amp = _amplitude_interpolant(x, 1.0 / tmax, 1.0 / t_split, reach, cfg)
+
+        def f_tail(t):
+            osc = np.real(np.exp(1j * (phase_fn(t) - 0.25 * math.pi)) * amp(1.0 / t))
+            return weight(t) * np.sqrt(2.0 * math.pi / t) * osc
+
+        tail = integrate(f_tail, phase_edges(phase_fn, t_split, tmax), cfg)
+
     def f_head(t):
-        t = np.asarray(t, dtype=float)
-        scaled = np.array([_scaled_kernel(x, ti, cfg) for ti in t])
-        return weight(t) * scaled
+        return weight(t) * _scaled_kernel(x, t, cfg)
 
     total = integrate(f_head, phase_edges(phase_fn, 0.0, t_split), cfg)
-    if tmax <= t_split:
-        return float(total)
-
-    u = np.linspace(1.0 / tmax, 1.0 / t_split, 64)
-    amp = CubicSpline(u, np.array([_expansion_amplitude(x, 1.0 / ui, cfg) for ui in u]))
-
-    def f_tail(t):
-        t = np.asarray(t, dtype=float)
-        osc = np.real(np.exp(1j * (phase_fn(t) - 0.25 * math.pi)) * amp(1.0 / t))
-        return weight(t) * np.sqrt(2.0 * math.pi / t) * osc
-
-    return float(total + integrate(f_tail, phase_edges(phase_fn, t_split, tmax), cfg))
+    return float(total + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +557,13 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 # a-derivatives by truncated Taylor arithmetic in the shift h
 
+def _finite(value, what):
+    """``value`` itself; OverflowError where it has left float range."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} leaves float range")
+    return value
+
+
 def _check_order(n):
     if not 0 <= n <= _DERIV_CAP:
         raise ValueError(f"derivative order must lie in [0, {_DERIV_CAP}], got {n}")
@@ -562,10 +617,11 @@ def deriv_exp_xsina(n, x, a):
     """n-th a-derivative of e^{x sin a}, for orders n in [0, 60].
 
     n! times the h^n Taylor coefficient of e^{x sin(a+h)}; raises
-    OverflowError where e^{x sin a} itself leaves float range.
+    OverflowError where e^{x sin a} or the derivative leaves float range.
     """
     _check_order(n)
-    return math.factorial(n) * _exp_xsin_series(x, a, n)[n] * math.exp(x * math.sin(a))
+    value = math.factorial(n) * _exp_xsin_series(x, a, n)[n] * math.exp(x * math.sin(a))
+    return _finite(value, "derivative of e^{x sin a}")
 
 
 def theorem2_limit(x, a):
@@ -587,7 +643,8 @@ def theorem3_value(x, a, psi1, psi2):
     """Operator form of the limit: psi1 and psi2 acting through a-derivatives.
 
     (pi/2) [ sum_n c_{2n,1} D^{2n} + sum_n c_{2n,2} D^{2n+1} ] e^{x sin a},
-    D = d/da, summed over the supplied coefficients (orders up to 60).
+    D = d/da, summed over the supplied coefficients (orders up to 60);
+    OverflowError where the value leaves float range.
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
@@ -595,7 +652,7 @@ def theorem3_value(x, a, psi1, psi2):
         raise ValueError("a must lie in [0, pi/2)")
     _check_types(a, psi1, psi2)
     acc = _apply_operator(psi1, psi2, lambda m: _exp_xsin_series(x, a, m))
-    return 0.5 * math.pi * acc * math.exp(x * math.sin(a))
+    return _finite(0.5 * math.pi * acc * math.exp(x * math.sin(a)), "operator limit")
 
 
 def theorem3_target(s, a, psi1, psi2):
@@ -603,12 +660,13 @@ def theorem3_target(s, a, psi1, psi2):
 
     (pi/2) Gamma(s) [ sum_n c_{2n,1} D^{2n} + sum_n c_{2n,2} D^{2n+1} ]
     (1 - sin a)^{-s}, the term-by-term a-derivatives of the base pairing
-    (orders up to 60).
+    (orders up to 60); OverflowError where the value leaves float range.
     """
     _check_sa(s, a)
     _check_types(a, psi1, psi2)
     acc = _apply_operator(psi1, psi2, lambda m: _power_series(s, a, m))
-    return 0.5 * math.pi * math.gamma(s) * acc * (1.0 - math.sin(a)) ** (-s)
+    value = 0.5 * math.pi * math.gamma(s) * acc * (1.0 - math.sin(a)) ** (-s)
+    return _finite(value, "closed operator target")
 
 
 def theorem3_check(q, cfg=DEFAULT_CONFIG):

@@ -327,3 +327,12 @@ class TestModuleEntryPoint:
         assert proc.stderr == ""
         header, rows = parse_csv(proc.stdout)
         assert header[0] == "id" and len(rows) == 17
+
+    def test_import_leaves_out_scipy_interpolate(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(klbessel.__file__).parents[1]))
+        code = "import sys, klbessel; print('scipy.interpolate' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from klbessel import quadrature
+from klbessel.kernel import EvaluationPoint, k_itau_oracle
 from klbessel.quadrature import (
     AccuracyError,
     QuadratureConfig,
@@ -60,6 +62,24 @@ def test_integrate_refuses_tolerance_below_roundoff(f):
     with pytest.raises(AccuracyError) as exc:
         integrate(f, np.linspace(-1.0, 1.0, 4), cfg)
     assert exc.value.achieved >= np.finfo(float).eps * math.e
+
+
+@pytest.mark.parametrize("x, tau", [(0.01, 40.0), (1.0, 1.0)])
+def test_tolerance_below_roundoff_refused_within_two_halvings(x, tau, monkeypatch):
+    panels = []
+
+    def counting(f, edges):
+        panels.append(len(edges) - 1)
+        return panel_sums(f, edges)
+
+    monkeypatch.setattr(quadrature, "panel_sums", counting)
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-30)
+    with pytest.raises(AccuracyError) as exc:
+        k_itau_oracle(EvaluationPoint(x, tau), cfg)
+    # the initial level and at most two halvings
+    assert len(panels) <= 3
+    assert sum(panels) <= 7 * panels[0]
+    assert exc.value.achieved > 1e-30 * abs(k_itau_oracle(EvaluationPoint(x, tau)))
 
 
 def test_phase_edges_cover_and_order():

@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from klbessel import summability
+from klbessel.kernel import EvaluationPoint, k_itau_oracle
+from klbessel.quadrature import AccuracyError
 from klbessel.special import bessel_k0
 from klbessel.summability import (
     DEFAULT_SCHEDULE,
@@ -371,6 +374,13 @@ class TestDerivExpXsina:
             bound = math.exp(x * math.sin(a)) * float(n) ** n * coeff
             assert abs(deriv_exp_xsina(n, x, a)) <= bound
 
+    def test_derivative_past_float_range_overflows(self):
+        # e^{760 sin 1.2} is finite, x cos(a) times it is not
+        with pytest.raises(OverflowError):
+            deriv_exp_xsina(1, 760.0, 1.2)
+        with pytest.raises(OverflowError):
+            theorem3_value(760.0, 1.2, PSI_ZERO, PSI_ONE)
+
     def test_order_contract(self):
         deriv_exp_xsina(60, 0.5, 0.2)
         with pytest.raises(ValueError):
@@ -537,7 +547,83 @@ class TestScheduleChecks:
 # ---------------------------------------------------------------------------
 # pointwise traces (diagnostics)
 
+# f_epsilon at the default config, computed once with the contour oracle at
+# every head node and a 64-node cubic spline of the tail amplitude:
+# (x, a, psi1, psi2, eps, value)
+F_EPSILON_FROZEN = (
+    (1.0, 0.0, PSI_ONE, PSI_ZERO, 1e-1, 1.392698992890119),
+    (1.0, 0.0, PSI_ONE, PSI_ZERO, 1e-2, 1.554853675374073),
+    (1.0, 0.0, PSI_ONE, PSI_ZERO, 1e-3, 1.569223175073240),
+    (5.0, 0.0, PSI_ONE, PSI_ZERO, 1e-2, 1.218233536183507),
+    (0.2, 0.3, PSI_ONE, PSI_ZERO, 1e-2, 1.666804282122073),
+    (1.0, 0.0, PSI_ZERO, PSI_ONE, 1e-2, 1.570153406657305),
+    (20.0, 0.0, PSI_ONE, PSI_ZERO, 1e-2, 0.032482891621523),
+)
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count the contour-oracle calls made from summability."""
+    calls = []
+
+    def counting(p, cfg):
+        calls.append(p)
+        return k_itau_oracle(p, cfg)
+
+    monkeypatch.setattr(summability, "k_itau_oracle", counting)
+    return calls
+
+
+class TestScaledKernel:
+    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 20.0])
+    def test_series_head_matches_scalar_route(self, x, cfg, oracle_calls):
+        taus = np.geomspace(1e-3, max(40.0, 2.0 * x), 300)
+        got = summability._scaled_kernel(x, taus, cfg)
+        rejected = len(oracle_calls)
+        for t, g in zip(taus, got):
+            want = k_itau_oracle(EvaluationPoint(x, t), cfg) * math.exp(0.5 * math.pi * t)
+            assert abs(g - want) <= 1e-11 * math.sqrt(2.0 * math.pi / t), (x, t)
+        if x <= 5.0:
+            assert rejected == 0
+        if x == 20.0:
+            assert 0 < rejected < taus.size
+
+
+class TestAmplitudeInterpolant:
+    def test_smooth_amplitude_takes_degree_15(self, cfg, monkeypatch):
+        monkeypatch.setattr(summability, "_expansion_amplitude", lambda x, t, c: 1.0 + 1j / t)
+        amp = summability._amplitude_interpolant(1.0, 1.0 / 200.0, 1.0 / 40.0, 1.0, cfg)
+        assert amp.coef.size == 16
+        u = np.linspace(1.0 / 200.0, 1.0 / 40.0, 7)
+        assert np.max(np.abs(amp(u) - (1.0 + 1j * u))) <= 1e-14
+
+    def test_unresolved_amplitude_raises(self, cfg, monkeypatch):
+        # a wiggle far beyond degree 63 keeps the trailing coefficients near 1e-9
+        monkeypatch.setattr(
+            summability, "_expansion_amplitude", lambda x, t, c: 1.0 + 1e-9 * math.sin(1e5 / t)
+        )
+        with pytest.raises(AccuracyError) as exc:
+            summability._amplitude_interpolant(1.0, 1.0 / 200.0, 1.0 / 40.0, 1.0, cfg)
+        assert exc.value.achieved > 1e-11
+        # where the tail barely reaches the integral, the same noise is harmless
+        summability._amplitude_interpolant(1.0, 1.0 / 200.0, 1.0 / 40.0, 1e-6, cfg)
+
+
 class TestFEpsilon:
+    @pytest.mark.parametrize("x, a, psi1, psi2, eps, want", F_EPSILON_FROZEN)
+    def test_frozen_values(self, x, a, psi1, psi2, eps, want, cfg):
+        q = SummabilityQuery(x=x, a=a, psi1=psi1, psi2=psi2)
+        assert abs(f_epsilon(q, eps, cfg) - want) <= 1e-12
+
+    def test_head_makes_no_oracle_call_at_moderate_x(self, cfg, oracle_calls):
+        f_epsilon(SummabilityQuery(x=1.0), 1e-2, cfg)
+        assert oracle_calls == []
+
+    def test_large_x_raises_in_the_tail(self, cfg):
+        # the tail amplitude's remainder integral misses the tolerance at x = 30
+        with pytest.raises(AccuracyError):
+            f_epsilon(SummabilityQuery(x=30.0), 1e-2, cfg)
+
     def test_zero_integrand(self, cfg):
         q = SummabilityQuery(psi1=PSI_ZERO, psi2=PSI_ZERO)
         assert f_epsilon(q, 1e-3, cfg) == 0.0
