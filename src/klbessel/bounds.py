@@ -12,15 +12,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _sp
 
-from .kernel import EvaluationPoint, OrderSpec, k_complex_order, k_itau_oracle
+from .kernel import EvaluationPoint, contour_values, k_itau_oracle
 from .quadrature import (
-    AccuracyError,
     DEFAULT_CONFIG,
     averaged_tail,
     integrate,
@@ -577,35 +575,14 @@ def default_grid(nx=25, ntau=25, x_lo=0.01, x_hi=100.0, tau_lo=0.1, tau_hi=40.0)
     return tuple(EvaluationPoint(float(x), float(t)) for t in taus for x in xs)
 
 
-def _kernel_value(mu, x, tau, cfg):
-    """Kernel value at complex order mu + i tau (complex), or None on accuracy failure."""
-    try:
-        if mu == 0.0:
-            return complex(k_itau_oracle(EvaluationPoint(x, tau), cfg))
-        return k_complex_order(OrderSpec(mu, tau), x, cfg)
-    except AccuracyError:
-        return None
-
-
-def _grid_worker(args):
-    mu, x, tau, cfg = args
-    return _kernel_value(mu, x, tau, cfg)
-
-
-def kernel_grid_values(grid, order_mu, cfg=DEFAULT_CONFIG, workers=1):
+def kernel_grid_values(grid, order_mu, cfg=DEFAULT_CONFIG):
     """Kernel values over a grid at fixed order, for sharing across descriptors.
 
-    Returns a tuple of complex values (None where the kernel evaluator
-    reported an accuracy failure).  With ``workers > 1`` the points are
-    distributed over a process pool; every input is immutable.
+    One `contour_values` call; a tuple of complex values, each equal to the
+    scalar oracle's bit for bit, None where the accuracy contract failed.
     """
-    jobs = [(order_mu, p.x, p.tau, cfg) for p in grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_grid_worker, jobs, chunksize=16))
-    else:
-        values = [_grid_worker(j) for j in jobs]
-    return tuple(values)
+    values, _ = contour_values([p.x for p in grid], [p.tau for p in grid], order_mu, cfg)
+    return tuple(None if np.isnan(v) else complex(v) for v in values)
 
 
 def _extract_part(value, part):
@@ -618,7 +595,7 @@ def _extract_part(value, part):
     raise ValueError(f"unknown kernel part {part!r}")
 
 
-def certify_bound(d, grid, cfg=DEFAULT_CONFIG, workers=1, kernel_values=None):
+def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
     """Certify |K| <= bound pointwise over a grid.
 
     Parameters
@@ -626,8 +603,6 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, workers=1, kernel_values=None):
     d : BoundDescriptor
     grid : sequence of EvaluationPoint
     cfg : QuadratureConfig
-    workers : int
-        Process count for the kernel evaluations (the expensive half).
     kernel_values : sequence of complex, optional
         Precomputed kernel values at ``d.order_mu`` over ``grid`` (see
         `kernel_grid_values`); descriptors sharing an order reuse them.
@@ -641,7 +616,7 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, workers=1, kernel_values=None):
     """
     grid = tuple(grid)
     if kernel_values is None:
-        kernel_values = kernel_grid_values(grid, d.order_mu, cfg, workers)
+        kernel_values = kernel_grid_values(grid, d.order_mu, cfg)
     ratios = []
     indeterminate = []
     worst = -1.0

@@ -23,7 +23,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -39,8 +38,6 @@ from .kernel import (
 from .quadrature import DEFAULT_CONFIG, AccuracyError, QuadratureConfig
 
 __all__ = ["RunConfig", "main"]
-
-WORKERS_ENV = "KLBESSEL_WORKERS"
 
 # identity checks rendered by `identities`: id, point, relative tolerance
 IDENTITY_ROWS = (
@@ -68,7 +65,6 @@ class RunConfig:
     rel_tol: float = DEFAULT_CONFIG.rel_tol
     output_format: str = "csv"
     output_path: str = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.x_count < 1 or self.tau_count < 1:
@@ -83,8 +79,6 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
     def quad_config(self):
         return QuadratureConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
@@ -193,10 +187,9 @@ def _cmd_certify(args, rc):
     certs = []
     for d in descriptors:
         if d.order_mu not in kernel_cache:
-            kernel_cache[d.order_mu] = bounds.kernel_grid_values(
-                grid, d.order_mu, cfg, rc.workers)
+            kernel_cache[d.order_mu] = bounds.kernel_grid_values(grid, d.order_mu, cfg)
         certs.append(bounds.certify_bound(
-            d, grid, cfg, rc.workers, kernel_values=kernel_cache[d.order_mu]))
+            d, grid, cfg, kernel_values=kernel_cache[d.order_mu]))
     if rc.output_format == "json":
         if len(certs) == 1:
             _emit(bounds.certificate_to_json(certs[0]), rc)
@@ -361,9 +354,6 @@ def _common_options(tau_min_default=0.1):
     out.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
     out.add_argument("--format", choices=("csv", "json"), default="csv")
     out.add_argument("--output", default=None, metavar="PATH")
-    out.add_argument(
-        "--workers", type=int, default=None,
-        help=f"process count for grid work (default ${WORKERS_ENV} or 1)")
     return common
 
 
@@ -465,10 +455,6 @@ def build_parser():
 
 
 def _run_config(args):
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     return RunConfig(
         command=args.command,
         x_min=args.x_min,
@@ -482,7 +468,6 @@ def _run_config(args):
         rel_tol=args.rel_tol,
         output_format=args.format,
         output_path=args.output,
-        workers=workers,
     )
 
 

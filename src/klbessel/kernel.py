@@ -1,12 +1,13 @@
 """Evaluators for the Macdonald function of imaginary and complex order.
 
 Three independent routes are provided for K_{i tau}(x): a rotated-contour
-quadrature oracle, a series-plus-remainder key formula, and the definitional
-series through I_{+-i tau}.  They share no numerical machinery beyond the
-panel integrator, so pairwise agreement is a genuine cross-check.  A fourth
-evaluator handles complex order mu + i tau.  The definitional series is
-summed by one array core that returns the scaled value K e^{pi tau/2} and
-its cancellation monitor for a whole array of orders at once.
+trapezoid oracle, a series-plus-remainder key formula (Gauss-Legendre panels
+for the remainder), and the definitional series through I_{+-i tau}.  They
+share no numerical machinery beyond the rule that accepts a refinement
+level, so pairwise agreement is a genuine cross-check.  The oracle and the
+complex-order evaluator are single points of one array evaluator,
+`contour_values`; the definitional series is one array core returning the
+scaled value K e^{pi tau/2} and its cancellation monitor.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, phase_edges
+from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, phase_edges, refinement_verdict
 
 __all__ = [
     "EvaluationPoint",
     "OrderSpec",
     "natural_scale",
+    "contour_values",
     "k_itau_oracle",
     "k_complex_order",
     "k_itau_keyformula",
@@ -75,128 +77,145 @@ def natural_scale(tau):
     return math.sqrt(2.0 * math.pi / tau) * math.exp(-0.5 * math.pi * tau)
 
 
-def _contour_angle(x, tau):
-    """Rotation angle for the cosh-integral contour.
+# Every two-dimensional work array of the contour evaluator holds at most
+# about _BLOCK elements (one row may exceed it): rows are taken in blocks.
+_BLOCK = 1 << 15
+_ANGLES = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
 
-    The integrand magnitude along the rotated contour integrates to about
-    e^{-tau t} K_0(x cos t) at angle t, so g(t) = -tau t + log K_0(x cos t)
-    measures the achievable output magnitude.  g is convex; we locate its
-    minimum and then back off to the smallest angle within 3 nats of it.
-    At such an angle the cancellation between panels is at most e^3 times
-    algebraic factors, which keeps the quadrature at near-full relative
-    accuracy even where K itself is exponentially small.
+
+def _contour_angles(x, tau):
+    """Per point, the first grid angle t within 3 nats of the minimum of
+    g(t) = -tau t + log K_0(x cos t), the integrand magnitude on the contour
+    rotated by t.  Cancellation there is at most e^3 times algebraic factors;
+    any angle gives an exact representation.  Rows are taken in order of x,
+    so a block evaluates log K_0 once per distinct x.
     """
-    if tau <= 0.0:
-        return 0.0
-    cap = 0.5 * math.pi - 1e-4
-
-    def g(theta):
-        c = x * math.cos(theta)
-        # log K_0(c) = log k0e(c) - c
-        return -tau * theta + math.log(_sp.k0e(c)) - c
-
-    lo, hi = 0.0, cap
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if g(m1) <= g(m2):
-            hi = m2
-        else:
-            lo = m1
-    theta_star = 0.5 * (lo + hi)
-    target = g(theta_star) + 3.0
-    if g(0.0) <= target:
-        return 0.0
-    lo, hi = 0.0, theta_star
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    theta = np.empty(x.shape)
+    order = np.argsort(x, kind="stable")
+    rows = _BLOCK // _ANGLES.size
+    for i in range(0, x.size, rows):
+        r = order[i:i + rows]
+        xs, which = np.unique(x[r], return_inverse=True)
+        c = xs[:, None] * np.cos(_ANGLES)
+        g = (np.log(_sp.k0e(c)) - c)[which] - tau[r, None] * _ANGLES
+        theta[r] = _ANGLES[np.argmax(g <= g.min(axis=1, keepdims=True) + 3.0, axis=1)]
+    return theta
 
 
 def _cosh_cut(c, drift, budget):
-    """Smallest u with c(cosh u - 1) - drift*u >= budget, plus one safety unit."""
-    u = math.acosh(1.0 + budget / c)
+    """Smallest u with c(cosh u - 1) - drift*u >= budget, per row, plus one safety unit."""
+    u = np.arccosh(1.0 + budget / c)
     for _ in range(4):
-        u = math.acosh(1.0 + (budget + drift * u) / c)
+        u = np.arccosh(1.0 + (budget + drift * u) / c)
     return u + 1.0
 
 
-def k_itau_oracle(p, cfg=DEFAULT_CONFIG):
-    """K_{i tau}(x) by quadrature of the rotated cosh-cosine representation.
+def _row_sums(f, rows, h, k, dtype):
+    """Per row r, sums of f(r, h[r] k) and |f| over k; each row is reduced
+    on its own, so its sums do not depend on its block."""
+    total, mass = np.empty(rows.size, dtype), np.empty(rows.size)
+    step = max(1, _BLOCK // k.size)
+    for i in range(0, rows.size, step):
+        vals = f(rows[i:i + step], h[i:i + step, None] * k)
+        total[i:i + step], mass[i:i + step] = vals.sum(axis=1), np.abs(vals).sum(axis=1)
+    return total, mass
 
-    Rotating the contour of the standard representation
-    K_{i tau}(x) = int_0^inf e^{-x cosh u} cos(tau u) du
-    by an angle theta trades oscillation against decay:
 
-        K_{i tau}(x) = e^{-tau theta}
-            int_0^inf e^{-x cos(theta) cosh u} cos(tau u - x sin(theta) sinh u) du.
+def _trapezoid(f, width, n0, cfg, dtype):
+    """Folded whole-line trapezoid rule for an even f, f(0) = 1, on [0, width[r]].
 
-    The angle is picked by `_contour_angle` so that panel cancellation stays
-    algebraic; panel edges track the oscillation phase tau u + x sin(theta) sinh u.
-
-    Parameters
-    ----------
-    p : EvaluationPoint
-    cfg : QuadratureConfig
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    AccuracyError
-        If panel refinement fails to converge.
+    Row r starts at n0[r] intervals; rows not yet accepted by
+    `refinement_verdict` (roundoff scale h sum|f|) get midpoints added, at
+    most ``max_refinements`` times.  Returns ``(value, err)``: NaN where
+    refused or not converged, and each row's last error estimate.
     """
-    x, tau = p.x, p.tau
-    theta = _contour_angle(x, tau)
-    c = x * math.cos(theta)
-    s = x * math.sin(theta)
-    budget = math.log(1.0 / cfg.truncation_threshold)
-    u_max = _cosh_cut(c, 0.0, budget)
-    edges = phase_edges(lambda u: tau * u + s * np.sinh(u), 0.0, u_max)
+    value = np.full(width.shape, np.nan, dtype)
+    err = np.full(width.shape, np.inf)
+    for n in np.unique(n0):
+        rows = np.flatnonzero(n0 == n)
+        h = width[rows] / n
+        total, mass = _row_sums(f, rows, h, np.arange(1.0, n + 1.0), dtype)
+        total, mass = h * (0.5 + total), h * (0.5 + mass)
+        for _ in range(cfg.max_refinements):
+            h = 0.5 * h
+            mid, mid_mass = _row_sums(f, rows, h, np.arange(1.0, 2 * n, 2.0), dtype)
+            cur, mass = 0.5 * total + h * mid, 0.5 * mass + h * mid_mass
+            err[rows], accepted, refused = refinement_verdict(cur, total, mass, cfg)
+            value[rows[accepted]] = cur[accepted]
+            go = ~(accepted | refused)
+            if not go.any():
+                break
+            rows, h, total, mass, n = rows[go], h[go], cur[go], mass[go], 2 * n
+    return value, err
 
-    def f(u):
-        return np.exp(-c * np.cosh(u)) * np.cos(tau * u - s * np.sinh(u))
 
-    val = integrate(f, edges, cfg)
-    return math.exp(-tau * theta) * float(np.real(val))
+def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
+    """K_{mu + i tau}(x) at one real mu for equal-length arrays of x and tau.
+
+    Rotating K_nu(x) = int_0^inf e^{-x cosh u} cosh(nu u) du by a per-point
+    angle theta (`_contour_angles`) gives, with c = x cos theta,
+    s = x sin theta and phi(u) = tau u - s sinh u,
+
+        K_{mu+i tau}(x) = e^{-c - tau theta + i mu theta}
+            int_0^inf e^{-c (cosh u - 1)} cos(phi(u) - i mu u) du.
+
+    The integrand is entire, even and doubly-exponentially decaying, so the
+    trapezoid rule converges geometrically and a halving reuses the old
+    nodes.  A point starts at about one node per period of the phase rate
+    tau + s cosh(u_max) + |mu| at the cut u_max, in a power of two of at
+    least 16 intervals (from 8, (x, tau) = (1, 1) needs a third halving to
+    reach roundoff).  Taking e^{-c} out keeps the integral near unit size,
+    so no tolerance is met by an integral that has simply underflowed.
+    Accuracy is contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100; x and
+    tau must be finite and positive (else `ValueError`).  Returns
+    ``(values, achieved)``: values (real when mu = 0), NaN where the
+    accuracy contract was not met, and each integral's last error estimate.
+    """
+    x, tau = np.asarray(x, dtype=float).ravel(), np.asarray(tau, dtype=float).ravel()
+    valid = np.isfinite(x) & (x > 0.0) & np.isfinite(tau) & (tau > 0.0)
+    if not (np.all(valid) and math.isfinite(mu)):
+        raise ValueError("x and tau must be finite and positive, and mu finite")
+    theta = _contour_angles(x, tau)
+    c, s = x * np.cos(theta), x * np.sin(theta)
+    u_max = _cosh_cut(c, abs(mu), math.log(1.0 / cfg.truncation_threshold))
+    rate = tau + s * np.cosh(u_max) + abs(mu)
+    n0 = 2 ** np.ceil(np.log2(np.maximum(16.0, u_max * rate / (2.0 * math.pi)))).astype(int)
+
+    def f(r, u):
+        phi = tau[r, None] * u - s[r, None] * np.sinh(u)
+        if mu != 0.0:
+            # cos(phi - i mu u) = cosh(mu u) cos phi + i sinh(mu u) sin phi
+            phi = phi - 1j * mu * u
+        return np.exp(-c[r, None] * (np.cosh(u) - 1.0)) * np.cos(phi)
+
+    integral, achieved = _trapezoid(f, u_max, n0, cfg, float if mu == 0.0 else complex)
+    phase = 1j * mu * theta if mu != 0.0 else 0.0
+    return np.exp(-c - tau * theta + phase) * integral, achieved
+
+
+def _contour_point(x, tau, mu, cfg):
+    values, achieved = contour_values(x, tau, mu, cfg)
+    if np.isnan(values[0]):
+        raise AccuracyError("contour quadrature did not meet its tolerance",
+                            achieved=float(achieved[0]))
+    return values[0]
+
+
+def k_itau_oracle(p, cfg=DEFAULT_CONFIG):
+    """K_{i tau}(x) at an `EvaluationPoint`: one point of `contour_values` at mu = 0.
+
+    Raises `AccuracyError` if the trapezoid refinement misses the tolerance.
+    """
+    return float(_contour_point(p.x, p.tau, 0.0, cfg))
 
 
 def k_complex_order(o, x, cfg=DEFAULT_CONFIG):
-    """K_{mu + i tau}(x) on the same rotated contour as the pure-imaginary oracle.
+    """K_{mu + i tau}(x) for an `OrderSpec`: one point of `contour_values`.
 
-    The representation K_nu(x) = int_0^inf e^{-x cosh u} cosh(nu u) du rotated
-    by theta gives, with phi(u) = tau u - x sin(theta) sinh(u),
-
-        K_{mu+i tau}(x) = e^{-tau theta} e^{i mu theta}
-            int_0^inf e^{-x cos(theta) cosh u}
-                      [cosh(mu u) cos phi + i sinh(mu u) sin phi] du,
-
-    so conjugate symmetry in tau holds by construction.  Accuracy is
-    contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100.
+    Contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100.  Raises
+    `AccuracyError` if the trapezoid refinement misses the tolerance.
     """
-    tau, mu = o.tau, o.mu
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError("x must be finite and positive")
-    theta = _contour_angle(x, tau)
-    c = x * math.cos(theta)
-    s = x * math.sin(theta)
-    budget = math.log(1.0 / cfg.truncation_threshold)
-    u_max = _cosh_cut(c, abs(mu), budget)
-    edges = phase_edges(lambda u: tau * u + s * np.sinh(u), 0.0, u_max)
-
-    def f(u):
-        phi = tau * u - s * np.sinh(u)
-        damp = np.exp(-c * np.cosh(u))
-        return damp * (np.cosh(mu * u) * np.cos(phi) + 1j * np.sinh(mu * u) * np.sin(phi))
-
-    val = integrate(f, edges, cfg)
-    return cmath.exp(complex(-tau * theta, mu * theta)) * complex(val)
+    return complex(_contour_point(x, o.tau, o.mu, cfg))
 
 
 def _series_tail(x, tau, N):
@@ -216,16 +235,23 @@ def _entire_g(w, N):
 
     Series: sum_k w^k / (4^k k! Gamma(k+N+2) 2^{N+1}); positive terms,
     super-geometric decay.
+
+    Raises `AccuracyError` if the sum overflows or has not converged within
+    400 terms (both happen for sqrt(w) of a few hundred).
     """
     w = np.asarray(w, dtype=float)
     term = np.full(w.shape, math.exp(-_sp.gammaln(N + 2.0) - (N + 1) * math.log(2.0)))
     total = term.copy()
-    for k in range(1, 400):
-        term = term * w / (4.0 * k * (k + N + 1))
-        total += term
-        if np.all(term <= 1e-18 * (total + 1.0)):
-            return total
-    raise RuntimeError("entire-part series did not terminate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 400):
+            term = term * w / (4.0 * k * (k + N + 1))
+            total += term
+            if np.all(term <= 1e-18 * (total + 1.0)):
+                break
+    # an overflowed sum stops the loop too (inf <= inf)
+    if not (np.all(np.isfinite(total)) and np.all(term <= 1e-18 * (total + 1.0))):
+        raise AccuracyError("entire-part series overflowed or did not terminate")
+    return total
 
 
 def _remainder_integral(x, tau, N, cfg):
@@ -242,7 +268,8 @@ def _remainder_integral(x, tau, N, cfg):
             int_0^inf e^{-(2N+2) v} e^{2 i tau v} G(x^2 (1 - e^{-2v})) dv,
 
     with G entire (see `_entire_g`).  The substitution removes both the
-    endpoint derivative blow-up at y = x and the x^{2 i tau} phase.
+    endpoint derivative blow-up at y = x and the x^{2 i tau} phase.  Raises
+    `AccuracyError` where `_entire_g` does (x beyond a few hundred).
     """
     from .special import pochhammer
 

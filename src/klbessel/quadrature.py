@@ -1,13 +1,14 @@
 """Panel-based Gauss-Legendre quadrature with phase-aware subdivision.
 
-Every integral in this package is a sum of 16-point Gauss-Legendre panels.
-Oscillatory integrands get their panel edges from the zero-crossing grid of
-a monotone phase majorant, so each panel sees at most one half-oscillation;
-smooth integrands get uniform edges.  Convergence is checked by halving
-every panel and comparing, which for analytic integrands gains ~2x digits
-per level.  The comparison is floored at the roundoff of the panel sums, so
-a tolerance finer than double precision can certify is refused rather than
-met by two sums that happen to round alike.
+Every integral in this package but the kernel oracle's trapezoid rule is a
+sum of 16-point Gauss-Legendre panels.  Oscillatory integrands get their
+panel edges from the zero-crossing grid of a monotone phase majorant, so
+each panel sees at most one half-oscillation; smooth integrands get uniform
+edges.  Convergence is checked by halving every panel and comparing, which
+for analytic integrands gains ~2x digits per level.  The comparison
+(`refinement_verdict`, shared with the trapezoid rule) is floored at the
+roundoff of the panel sums, so a tolerance finer than double precision can
+certify is refused rather than met by two sums that happen to round alike.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def panel_sums(f, edges):
     mid = 0.5 * (edges[1:] + edges[:-1])
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = np.asarray(f(pts.ravel())).reshape(pts.shape)
-    return half * (vals @ _WEIGHTS)
+    # not ``@``: BLAS would spread these small products over every core
+    return half * (vals * _WEIGHTS).sum(axis=1)
 
 
 def _halved(edges):
@@ -102,17 +104,32 @@ def _halved(edges):
     return out
 
 
+def refinement_verdict(cur, prev, abs_sum, cfg):
+    """Elementwise ``(err, accepted, refused)`` for a level ``cur`` after ``prev``.
+
+    ``err = max(|cur - prev|, 8 * eps * abs_sum)``, the change between
+    levels floored at the roundoff of ``abs_sum``, the absolute sum of the
+    terms (panel sums or weighted nodes) making up ``cur``.  ``accepted``
+    where ``err <= abs_tol + rel_tol * |cur|``; ``refused`` where not, though
+    the levels agree to within the floor: refinement cannot shrink
+    ``abs_sum``, so no later level could be accepted.
+    """
+    diff = np.abs(cur - prev)
+    floor = _ROUNDOFF_FLOOR * abs_sum
+    err = np.maximum(diff, floor)
+    accepted = err <= cfg.abs_tol + cfg.rel_tol * np.abs(cur)
+    return err, accepted, ~accepted & (diff <= floor)
+
+
 def integrate(f, edges, cfg=DEFAULT_CONFIG):
     """Integrate ``f`` over ``[edges[0], edges[-1]]`` to the configured tolerance.
 
     The initial edges must already resolve any oscillation of ``f`` (one
     half-period per panel or better); refinement then only polishes.
 
-    Each round halves every panel and takes as error estimate
-    ``max(|cur - prev|, 8 * eps * sum(|panel sums|))``: the change between
-    levels, floored at the roundoff of the finer level's panel sums.  Two
-    levels that agree bit for bit therefore certify no more than double
-    precision can resolve, whatever the summation order.
+    Each round halves every panel and judges the new level by
+    `refinement_verdict` over the panel sums, so two levels that agree bit
+    for bit certify no more than double precision can resolve.
 
     Raises
     ------
@@ -126,22 +143,17 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
     """
     edges = np.asarray(edges, dtype=float)
     prev = np.sum(panel_sums(f, edges))
-    err = None
     for _ in range(cfg.max_refinements):
         edges = _halved(edges)
         sums = panel_sums(f, edges)
         cur = np.sum(sums)
-        diff = abs(cur - prev)
-        floor = _ROUNDOFF_FLOOR * float(np.sum(np.abs(sums)))
-        err = max(diff, floor)
-        if err <= cfg.abs_tol + cfg.rel_tol * abs(cur):
+        err, accepted, refused = refinement_verdict(cur, prev, float(np.sum(np.abs(sums))), cfg)
+        if accepted:
             return cur
-        if diff <= floor:
-            # the floor alone misses the tolerance, and halving cannot
-            # shrink sum(|panel sums|) (triangle inequality)
-            raise AccuracyError("tolerance is below the roundoff floor", achieved=err)
+        if refused:
+            raise AccuracyError("tolerance is below the roundoff floor", achieved=float(err))
         prev = cur
-    raise AccuracyError("quadrature did not converge", achieved=err)
+    raise AccuracyError("quadrature did not converge", achieved=float(err))
 
 
 def phase_edges(phase, lo, hi, spacing=np.pi, min_panels=8):

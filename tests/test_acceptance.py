@@ -86,15 +86,13 @@ def test_criterion_2_full_catalog_certification(cfg):
     failed = []
     for d in all_default_descriptors():
         if d.order_mu not in kernel_cache:
-            kernel_cache[d.order_mu] = kernel_grid_values(
-                grid, d.order_mu, cfg, workers=4)
-        cert = certify_bound(d, grid, cfg, workers=4,
-                             kernel_values=kernel_cache[d.order_mu])
+            kernel_cache[d.order_mu] = kernel_grid_values(grid, d.order_mu, cfg)
+        cert = certify_bound(d, grid, cfg, kernel_values=kernel_cache[d.order_mu])
         if not cert.passed:
             failed.append((d.id, cert.max_ratio))
     elapsed = time.perf_counter() - start
     ok = not failed and elapsed <= 300.0
-    detail = f"17 bounds on 25x25, {elapsed:.1f}s with 4 workers"
+    detail = f"17 bounds on 25x25, {elapsed:.1f}s serial"
     if failed:
         detail += f"; failed: {failed}"
     _verdict(2, "full bound-catalog certification", ok, detail)

@@ -20,7 +20,7 @@ from klbessel.bounds import (
     olenko_c,
     verify_representation,
 )
-from klbessel.kernel import EvaluationPoint
+from klbessel.kernel import EvaluationPoint, OrderSpec, k_complex_order, k_itau_oracle
 from klbessel.special import bessel_k0, log_abs_gamma
 
 SQRT_2_OVER_PI = 0.79788456080286536
@@ -198,9 +198,18 @@ def test_certificate_flags_indeterminate_points(small_grid, kernel_cache):
     assert len(cert.ratios) == len(small_grid) - 1
 
 
-def test_parallel_grid_matches_serial(small_grid):
-    sub = small_grid[:10]
-    assert kernel_grid_values(sub, 0.0, workers=2) == kernel_grid_values(sub, 0.0)
+@pytest.mark.parametrize("mu", sorted({d.order_mu for d in all_default_descriptors()}))
+def test_batched_grid_matches_scalar_bit_for_bit(mu):
+    # 169 points span several row blocks of the batched evaluator, and the
+    # reversed grid blocks them differently; no value may depend on that
+    grid = default_grid(nx=13, ntau=13)
+    batched = kernel_grid_values(grid, mu)
+    if mu == 0.0:
+        scalar = tuple(complex(k_itau_oracle(p)) for p in grid)
+    else:
+        scalar = tuple(k_complex_order(OrderSpec(mu, p.tau), p.x) for p in grid)
+    assert batched == scalar
+    assert kernel_grid_values(grid[::-1], mu) == batched[::-1]
 
 
 def test_default_grid_shape():

@@ -33,7 +33,6 @@ class TestRunConfig:
         rc = RunConfig(command="eval")
         assert rc.spacing == "log"
         assert rc.output_format == "csv"
-        assert rc.workers == 1
 
     @pytest.mark.parametrize("kwargs", [
         dict(x_count=0),
@@ -45,7 +44,7 @@ class TestRunConfig:
         dict(abs_tol=0.0),
         dict(rel_tol=-1e-9),
         dict(output_format="yaml"),
-        dict(workers=0),
+        dict(tau_min=2.0, tau_max=1.0),
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -140,6 +139,15 @@ class TestEval:
                            "--abs-tol", "1e-300", "--rel-tol", "1e-30")
         assert code == 3
         assert "accuracy" in err
+
+    @pytest.mark.parametrize("x, tau", [("700", "0.1"), ("1e4", "1")])
+    def test_key_formula_overflow_exits_three(self, capsys, recwarn, x, tau):
+        # the key-formula reference series overflows or does not terminate
+        code, out, err = run(capsys, "eval", "--x", x, "--tau", tau)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(recwarn) == 0
 
 
 class TestCertify:
@@ -301,19 +309,13 @@ class TestOutputAndEnvironment:
         header, rows = parse_csv(path.read_text())
         assert header[0] == "x" and len(rows) == 1
 
-    def test_workers_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("KLBESSEL_WORKERS", "3")
-        from klbessel.cli import _run_config, build_parser
-        args = build_parser().parse_args(
-            ["certify", "--id", "LEBEDEV_15"])
-        assert _run_config(args).workers == 3
-
-    def test_workers_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("KLBESSEL_WORKERS", "3")
-        from klbessel.cli import _run_config, build_parser
-        args = build_parser().parse_args(
-            ["certify", "--id", "LEBEDEV_15", "--workers", "1"])
-        assert _run_config(args).workers == 1
+    def test_workers_flag_is_gone(self, capsys):
+        # grids are evaluated in one batched pass; there is no process pool
+        code, out, err = run(capsys, "certify", "--id", "LEBEDEV_15",
+                             "--workers", "2")
+        assert code == 2
+        assert out == ""
+        assert "--workers" in err
 
 
 class TestModuleEntryPoint:

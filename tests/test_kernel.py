@@ -7,6 +7,7 @@ import pytest
 from klbessel.kernel import (
     EvaluationPoint,
     OrderSpec,
+    contour_values,
     k_complex_order,
     k_itau_defseries,
     k_itau_keyformula,
@@ -50,6 +51,44 @@ COMPLEX_PINS = {
     (0.25, 2.0, 0.5): -0.00024285214005731559 + 0.045841561052075675j,
     (1.0, 3.0, 2.0): 0.0018610519511282289 + 0.021357061133374772j,
     (1.0, 1.0, 1.0): 0.32545977186584141 + 0.28942803702599213j,
+}
+
+# K_{mu + i tau}(x) keyed by (mu, x, tau): mpmath 1.3 besselk at 30 digits
+# (agreeing with 50 digits to 1e-25), rounded to double.  Generated once by
+#   for each key: mp.mp.dps = 30; v = mp.besselk(mp.mpf(mu) + 1j * mp.mpf(tau), mp.mpf(x))
+# and printed as repr(float(v.real)), or complex(re, im) when mu != 0.
+# The grid corners (0.01, 0.1), (0.01, 40), (100, 0.1), (100, 40) appear at every mu.
+CONTOUR_REFERENCE = {
+    (0.0, 0.01, 0.1): 4.514192445199013,
+    (0.0, 0.01, 40.0): -3.4839334554752916e-29,
+    (0.0, 100.0, 0.1): 4.656396555253727e-45,
+    (0.0, 100.0, 40.0): 1.4577751747902302e-48,
+    (0.0, 1.0, 1.0): 0.2894280370259921,
+    (0.0, 5.0, 10.0): -1.0825398134796981e-07,
+    (0.1, 0.01, 0.1): complex(4.708509169574868, 0.42022397755209806),
+    (0.1, 0.01, 40.0): complex(-1.6750545571590764e-29, -2.1169137583793816e-28),
+    (0.1, 100.0, 0.1): complex(4.656628206197887e-45, 4.633593324115345e-49),
+    (0.1, 100.0, 40.0): complex(1.456633921920053e-48, 5.963427685498951e-50),
+    (0.1, 0.3, 2.0): complex(-0.05808660198098138, 0.0038246003375025017),
+    (0.1, 30.0, 20.0): complex(2.3313550695507622e-17, 1.6611354541642137e-18),
+    (0.25, 0.01, 0.1): complex(5.82646022266958, 1.2254657362899193),
+    (0.25, 0.01, 40.0): complex(2.087079228030333e-28, -9.334537616606212e-28),
+    (0.25, 100.0, 0.1): complex(4.6578445621221857e-45, 1.158699946667072e-48),
+    (0.25, 100.0, 40.0): complex(1.4506458479671818e-48, 1.4890953507340356e-49),
+    (0.25, 2.0, 0.5): complex(0.10940961541478283, 0.005695376581448793),
+    (0.25, 10.0, 30.0): complex(6.732810498916322e-22, -4.896943548934534e-22),
+    (0.5, 0.01, 0.1): complex(11.444831615669585, 4.09712007084513),
+    (0.5, 0.01, 40.0): complex(5.29056366962239e-27, -7.454463373299981e-27),
+    (0.5, 100.0, 0.1): complex(4.662191276184641e-45, 2.3195555690387707e-48),
+    (0.5, 100.0, 40.0): complex(1.4293078951253966e-48, 2.9656212910967858e-49),
+    (0.5, 0.05, 5.0): complex(-0.0027050061774169984, 0.0014384353984062382),
+    (0.5, 50.0, 1.0): complex(3.3847701966107686e-23, 3.351902329449169e-25),
+    (1.0, 0.01, 0.1): complex(88.29131292930022, 45.141924451990135),
+    (1.0, 0.01, 40.0): complex(8.057352405928455e-25, -1.3935733821901166e-25),
+    (1.0, 100.0, 0.1): complex(4.679618600925284e-45, 4.656396555253727e-48),
+    (1.0, 100.0, 40.0): complex(1.3447049961084527e-48, 5.831100699160921e-49),
+    (1.0, 3.0, 3.0): complex(0.006154114095819953, 0.008730481324018713),
+    (1.0, 0.5, 15.0): complex(-1.1323746192066306e-09, -8.544176014349835e-11),
 }
 
 CROSS_GRID_X = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -100,6 +139,30 @@ def test_complex_order_pins(cfg, key):
     want = COMPLEX_PINS[key]
     got = k_complex_order(OrderSpec(mu, tau), x, cfg)
     assert abs(got - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("mu", sorted({key[0] for key in CONTOUR_REFERENCE}))
+def test_contour_values_match_frozen_reference(cfg, mu):
+    keys = [key for key in CONTOUR_REFERENCE if key[0] == mu]
+    xs = [key[1] for key in keys]
+    taus = [key[2] for key in keys]
+    values, _ = contour_values(xs, taus, mu, cfg)
+    assert values.dtype == (float if mu == 0.0 else complex)
+    for key, got in zip(keys, values):
+        want = CONTOUR_REFERENCE[key]
+        assert abs(got - want) <= 1e-12 * max(natural_scale(key[2]), abs(want)), key
+
+
+@pytest.mark.parametrize("x, tau, mu", [
+    ([1.0, -1.0], [1.0, 1.0], 0.0),
+    ([1.0, 2.0], [1.0, 0.0], 0.0),
+    ([1.0], [math.inf], 0.0),
+    ([1.0], [1.0], math.nan),
+    ([1.0, 2.0], [1.0, 2.0, 3.0], 0.0),
+])
+def test_contour_values_domain(x, tau, mu):
+    with pytest.raises(ValueError):
+        contour_values(x, tau, mu)
 
 
 def test_complex_order_reduces_to_real_kernel(cfg):

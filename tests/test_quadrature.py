@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from klbessel import quadrature
+from klbessel import kernel
 from klbessel.kernel import EvaluationPoint, k_itau_oracle
 from klbessel.quadrature import (
     AccuracyError,
@@ -66,19 +66,21 @@ def test_integrate_refuses_tolerance_below_roundoff(f):
 
 @pytest.mark.parametrize("x, tau", [(0.01, 40.0), (1.0, 1.0)])
 def test_tolerance_below_roundoff_refused_within_two_halvings(x, tau, monkeypatch):
-    panels = []
+    # integrand evaluations of the oracle's trapezoid rule, one entry per level
+    nodes = []
+    row_sums = kernel._row_sums
 
-    def counting(f, edges):
-        panels.append(len(edges) - 1)
-        return panel_sums(f, edges)
+    def counting(f, rows, h, k, dtype):
+        nodes.append(rows.size * k.size)
+        return row_sums(f, rows, h, k, dtype)
 
-    monkeypatch.setattr(quadrature, "panel_sums", counting)
+    monkeypatch.setattr(kernel, "_row_sums", counting)
     cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-30)
     with pytest.raises(AccuracyError) as exc:
         k_itau_oracle(EvaluationPoint(x, tau), cfg)
     # the initial level and at most two halvings
-    assert len(panels) <= 3
-    assert sum(panels) <= 7 * panels[0]
+    assert len(nodes) <= 3
+    assert sum(nodes) <= 7 * nodes[0]
     assert exc.value.achieved > 1e-30 * abs(k_itau_oracle(EvaluationPoint(x, tau)))
 
 
