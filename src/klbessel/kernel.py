@@ -6,8 +6,9 @@ for the remainder), and the definitional series through I_{+-i tau}.  They
 share no numerical machinery beyond the rule that accepts a refinement
 level, so pairwise agreement is a genuine cross-check.  The oracle and the
 complex-order evaluator are single points of one array evaluator,
-`contour_values`; the definitional series is one array core returning the
-scaled value K e^{pi tau/2} and its cancellation monitor.
+`contour_values`, which the package's quadratures also call once per node
+array; the definitional series is one array core returning the scaled
+value K e^{pi tau/2} and its cancellation monitor.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ __all__ = [
     "k_itau_defseries",
 ]
 
-# Relative-accuracy budget of the definitional series, quoted against the
-# natural magnitude scale; beyond it the evaluator refuses rather than
-# returning cancellation noise.
+# Relative-accuracy budgets of the definitional series and the key formula,
+# quoted against the natural magnitude scale; beyond them the evaluator
+# refuses rather than returning cancellation noise.
 _DEFSERIES_BUDGET = 1e-9
+_KEYFORMULA_BUDGET = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -81,24 +83,56 @@ def natural_scale(tau):
 # about _BLOCK elements (one row may exceed it): rows are taken in blocks.
 _BLOCK = 1 << 15
 _ANGLES = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
+_COS = np.cos(_ANGLES)
+_STRIDE = 16  # the coarse scan takes every 16th grid angle
+
+
+def _log_k0(x, j):
+    """log K_0(x cos t), a row per x, at the grid angles t = _ANGLES[j]
+    (j: one row shared by every x, or a row per x)."""
+    c = x[:, None] * _COS[j]
+    return np.log(_sp.k0e(c)) - c
+
+
+def _first(mask, start):
+    """Per row, start plus the first True column of mask; the grid size where none is."""
+    return np.where(mask.any(axis=1), start + np.argmax(mask, axis=1), _ANGLES.size)
 
 
 def _contour_angles(x, tau):
-    """Per point, the first grid angle t within 3 nats of the minimum of
-    g(t) = -tau t + log K_0(x cos t), the integrand magnitude on the contour
-    rotated by t.  Cancellation there is at most e^3 times algebraic factors;
-    any angle gives an exact representation.  Rows are taken in order of x,
-    so a block evaluates log K_0 once per distinct x.
+    """Per point, the first of 512 grid angles t within 3 nats of the grid
+    minimum of g(t) = -tau t + log K_0(x cos t), the integrand magnitude on
+    the contour rotated by t.  Cancellation there is at most e^3 times
+    algebraic factors; any angle gives an exact representation.
+
+    g is convex: g'(t) = -tau + x sin t K_1/K_0(x cos t) increases with t.
+    So the grid minimum lies within one coarse step of the minimum over
+    every 16th angle, and the first angle within 3 nats lies in the
+    16-angle cell that ends at the first coarse angle within 3 nats, or
+    next to the minimum when no coarse angle is.  Three passes, of 32
+    coarse angles, 33 angles around the coarse minimum and that cell's 16,
+    find the angle of a scan of the whole grid at 81 `k0e` calls per point.
+    Rows are taken in order of x, so a block evaluates the coarse pass once
+    per distinct x.
     """
     theta = np.empty(x.shape)
     order = np.argsort(x, kind="stable")
-    rows = _BLOCK // _ANGLES.size
+    coarse_j = np.arange(0, _ANGLES.size, _STRIDE)
+    near_k, cell_k = np.arange(2 * _STRIDE + 1), np.arange(_STRIDE)
+    rows = _BLOCK // 64  # the widest pass takes 33 angles per point
     for i in range(0, x.size, rows):
         r = order[i:i + rows]
-        xs, which = np.unique(x[r], return_inverse=True)
-        c = xs[:, None] * np.cos(_ANGLES)
-        g = (np.log(_sp.k0e(c)) - c)[which] - tau[r, None] * _ANGLES
-        theta[r] = _ANGLES[np.argmax(g <= g.min(axis=1, keepdims=True) + 3.0, axis=1)]
+        xr, tr = x[r], tau[r, None]
+        xs, which = np.unique(xr, return_inverse=True)
+        coarse = _log_k0(xs, coarse_j)[which] - tr * _ANGLES[coarse_j]
+        near = np.clip(_STRIDE * np.argmin(coarse, axis=1) - _STRIDE, 0, _ANGLES.size - near_k.size)
+        j = near[:, None] + near_k
+        g_near = _log_k0(xr, j) - tr * _ANGLES[j]
+        within = g_near.min(axis=1, keepdims=True) + 3.0
+        cell = np.maximum(_STRIDE * np.argmax(coarse <= within, axis=1) - _STRIDE + 1, 0)
+        j = cell[:, None] + cell_k
+        g_cell = _log_k0(xr, j) - tr * _ANGLES[j]
+        theta[r] = _ANGLES[np.minimum(_first(g_near <= within, near), _first(g_cell <= within, cell))]
     return theta
 
 
@@ -150,7 +184,7 @@ def _trapezoid(f, width, n0, cfg, dtype):
 
 
 def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
-    """K_{mu + i tau}(x) at one real mu for equal-length arrays of x and tau.
+    """K_{mu + i tau}(x) at one real mu for arrays of x and tau (broadcast, flattened).
 
     Rotating K_nu(x) = int_0^inf e^{-x cosh u} cosh(nu u) du by a per-point
     angle theta (`_contour_angles`) gives, with c = x cos theta,
@@ -171,7 +205,7 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
     ``(values, achieved)``: values (real when mu = 0), NaN where the
     accuracy contract was not met, and each integral's last error estimate.
     """
-    x, tau = np.asarray(x, dtype=float).ravel(), np.asarray(tau, dtype=float).ravel()
+    x, tau = (a.ravel() for a in np.broadcast_arrays(np.asarray(x, float), np.asarray(tau, float)))
     valid = np.isfinite(x) & (x > 0.0) & np.isfinite(tau) & (tau > 0.0)
     if not (np.all(valid) and math.isfinite(mu)):
         raise ValueError("x and tau must be finite and positive, and mu finite")
@@ -193,12 +227,15 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
     return np.exp(-c - tau * theta + phase) * integral, achieved
 
 
-def _contour_point(x, tau, mu, cfg):
+def _checked_contour(x, tau, mu, cfg):
+    """`contour_values` without its error estimates, raising `AccuracyError`
+    (``achieved``: the worst failed estimate) if any value missed the tolerance."""
     values, achieved = contour_values(x, tau, mu, cfg)
-    if np.isnan(values[0]):
+    failed = np.isnan(values)
+    if failed.any():
         raise AccuracyError("contour quadrature did not meet its tolerance",
-                            achieved=float(achieved[0]))
-    return values[0]
+                            achieved=float(np.max(achieved[failed])))
+    return values
 
 
 def k_itau_oracle(p, cfg=DEFAULT_CONFIG):
@@ -206,7 +243,7 @@ def k_itau_oracle(p, cfg=DEFAULT_CONFIG):
 
     Raises `AccuracyError` if the trapezoid refinement misses the tolerance.
     """
-    return float(_contour_point(p.x, p.tau, 0.0, cfg))
+    return float(_checked_contour(p.x, p.tau, 0.0, cfg)[0])
 
 
 def k_complex_order(o, x, cfg=DEFAULT_CONFIG):
@@ -215,11 +252,12 @@ def k_complex_order(o, x, cfg=DEFAULT_CONFIG):
     Contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100.  Raises
     `AccuracyError` if the trapezoid refinement misses the tolerance.
     """
-    return complex(_contour_point(x, o.tau, o.mu, cfg))
+    return complex(_checked_contour(x, o.tau, o.mu, cfg)[0])
 
 
 def _series_tail(x, tau, N):
-    """sum_{m=1}^{N} (x/2)^{2m} / (m! (1 - i tau)_m), running-term recurrence."""
+    """sum_{m=1}^{N} (x/2)^{2m} / (m! (1 - i tau)_m), running-term recurrence;
+    elementwise over an array x."""
     q = 0.25 * x * x
     itau = 1j * tau
     term = complex(1.0)
@@ -299,12 +337,25 @@ def k_itau_keyformula(p, N, cfg=DEFAULT_CONFIG):
     remainder integral; the value is independent of the truncation depth N,
     which makes N-agreement a free self-test.
 
+    The bracket grows like e^x while K_{i tau}(x) decays like e^{-x}, so
+    the real part cancels: the result carries a roundoff floor of about
+    eps |Gamma(i tau)| (1 + |S_N| + |T_N|).  Where that floor exceeds the
+    cross-method budget 1e-8 natural_scale(tau) (from x of about 20 at
+    tau = 1), `AccuracyError` is raised instead.
+
     Parameters
     ----------
     p : EvaluationPoint
     N : int
         Truncation depth, 0 <= N <= 20.
     cfg : QuadratureConfig
+
+    Raises
+    ------
+    AccuracyError
+        If the remainder integral misses its tolerance, or the bracket's
+        roundoff floor exceeds the budget; ``achieved`` carries the floor
+        relative to the natural scale.
     """
     if N < 0 or N != int(N) or N > 20:
         raise ValueError("N must be an integer in [0, 20]")
@@ -313,7 +364,19 @@ def k_itau_keyformula(p, N, cfg=DEFAULT_CONFIG):
     series = _series_tail(x, tau, N)
     remainder = _remainder_integral(x, tau, N, cfg)
     prefactor = cmath.exp(_sp.loggamma(1j * tau) - 1j * tau * math.log(0.5 * x))
+    # the floor over the natural scale, by |Gamma(i tau)| = natural_scale(tau)
+    # / sqrt(1 - e^{-2 pi tau}), a ratio that underflows for no tau
+    gamma_over_scale = 1.0 / math.sqrt(-math.expm1(-2.0 * math.pi * tau))
+    floor = _EPS * gamma_over_scale * (1.0 + abs(series) + abs(remainder))
+    if floor > _KEYFORMULA_BUDGET:
+        raise AccuracyError("key formula cancels below its roundoff floor", achieved=floor)
     return (prefactor * (1.0 + series + remainder)).real
+
+
+def _smallx_values(x, tau):
+    """Three key-formula series terms, no remainder, for an array x <= 0.05 and one tau."""
+    prefactor = np.exp(_sp.loggamma(1j * tau) - 1j * tau * np.log(0.5 * x))
+    return (prefactor * (1.0 + _series_tail(x, tau, 3))).real
 
 
 def k_itau_smallx(p):
@@ -321,13 +384,13 @@ def k_itau_smallx(p):
 
     Three series terms leave a relative error below 1e-12 on its domain,
     which makes it the cheap kernel route inside Mellin-transform quadratures
-    whose log-spaced nodes reach arbitrarily small x.
+    whose log-spaced nodes reach arbitrarily small x.  A one-point call of
+    the array core `_smallx_values`, which those quadratures call on whole
+    node arrays.
     """
-    x, tau = p.x, p.tau
-    if x > 0.05:
+    if p.x > 0.05:
         raise ValueError("small-x series is only contracted for x <= 0.05")
-    prefactor = cmath.exp(_sp.loggamma(1j * tau) - 1j * tau * math.log(0.5 * x))
-    return (prefactor * (1.0 + _series_tail(x, tau, 3))).real
+    return float(_smallx_values(np.array([p.x]), p.tau)[0])
 
 
 def _defseries_scaled(x, tau):

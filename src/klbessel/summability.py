@@ -8,8 +8,8 @@ The object of study is
 which diverges at eps = 0 for a > 0 and is summed in the Abel sense
 against Mellin test functions e^{-x} x^{s-1}.  Pointwise, `f_epsilon`
 integrates whole node arrays: its head takes the kernel from the
-definitional series with a per-node cancellation check (the contour
-oracle only where that check fails), its tail a Chebyshev interpolant
+definitional series with a per-node cancellation check (one contour
+evaluator call for the nodes that fail it), its tail a Chebyshev interpolant
 of the large-order amplitude whose trailing coefficients are checked.
 Pairings are computed on the tau side (a convergent gamma-weighted
 integral equal to the pairing by Fubini), closed forms for the two base
@@ -33,8 +33,8 @@ from scipy import special as _sp
 
 from .asymptotic import phase as _expansion_phase
 from .asymptotic import remainder_explicit, stirling_r_gamma
-from .kernel import EvaluationPoint, k_itau_oracle, k_itau_smallx
-from .kernel import _defseries_scaled, _remainder_integral, _series_tail
+from .kernel import EvaluationPoint, _checked_contour, _defseries_scaled
+from .kernel import _remainder_integral, _series_tail, _smallx_values
 from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, panel_sums, phase_edges
 from .special import complex_log_gamma
 
@@ -296,22 +296,24 @@ def _scaled_kernel(x, tau, cfg):
     one vectorized pass), and keeps it when the series' cancellation
     monitor is within ``cfg.rel_tol`` of the natural scale, as it is
     throughout for moderate x.  A rejected node (monitor above the
-    tolerance, NaN or inf) takes the scalar route: inside the contour
-    oracle's certified range tau <= max(40, 2x) the oracle value is
-    rescaled directly; beyond it the expansion identity (leading cosine
-    plus the explicitly constructed remainder, exact at every order)
-    supplies the scaled value and dodges the float64 underflow of the
-    raw kernel near tau ~ 450.
+    tolerance, NaN or inf) takes another route: inside the contour
+    evaluator's certified range tau <= max(40, 2x) all such nodes are one
+    `contour_values` call, rescaled directly; beyond it the expansion
+    identity (leading cosine plus the explicitly constructed remainder,
+    exact at every order) supplies the scaled value node by node and
+    dodges the float64 underflow of the raw kernel near tau ~ 450.
     """
     tau = np.asarray(tau, dtype=float)
     scaled, monitor = _defseries_scaled(x, tau)
-    for i in np.flatnonzero(~(monitor <= cfg.rel_tol)):
+    rejected = ~(monitor <= cfg.rel_tol)
+    contour = rejected & (tau <= max(40.0, 2.0 * x))
+    if contour.any():
+        t = tau[contour]
+        scaled[contour] = _checked_contour(x, t, 0.0, cfg) * np.exp(0.5 * math.pi * t)
+    for i in np.flatnonzero(rejected & ~contour):
         p = EvaluationPoint(x, float(tau[i]))
-        if p.tau <= max(40.0, 2.0 * x):
-            scaled[i] = k_itau_oracle(p, cfg) * math.exp(0.5 * math.pi * p.tau)
-        else:
-            osc = math.cos(_expansion_phase(p)) + remainder_explicit(p, 1, cfg)
-            scaled[i] = math.sqrt(2.0 * math.pi / p.tau) * osc
+        osc = math.cos(_expansion_phase(p)) + remainder_explicit(p, 1, cfg)
+        scaled[i] = math.sqrt(2.0 * math.pi / p.tau) * osc
     return scaled
 
 
@@ -362,9 +364,9 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
 
     Head, tau <= max(40, 2x): the scaled kernel comes from the
     definitional series on each whole node array, with a per-node
-    cancellation check that sends only the rejected nodes to the contour
-    oracle (none at x <= 5, tau below about 0.02 at x = 10, tau below
-    about 10 at x = 20).
+    cancellation check that sends only the rejected nodes, in one array
+    call, to the contour evaluator (none at x <= 5, tau below about 0.02
+    at x = 10, tau below about 10 at x = 20).
     Tail, beyond the head: the kernel is written as
     sqrt(2 pi/tau) Re[e^{i phi} A(tau)] and the smooth amplitude A is
     interpolated in 1/tau by a Chebyshev series of degree 15 to 63 whose
@@ -441,11 +443,15 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
 # Mellin pairings and identities
 
 def mellin_pair(g, s, cfg=DEFAULT_CONFIG):
-    """int_0^inf e^{-x} g(x) x^{s-1} dx for pointwise-sampled g.
+    """int_0^inf e^{-x} g(x) x^{s-1} dx for an array-valued g.
 
-    Evaluated on the log axis x = e^w; the upper end marches outward in
-    unit panels until a panel is negligible, so integrands whose decay
-    rate e^{-(1-sin a)x} is much slower than e^{-x} are still covered.
+    ``g`` is called once per node array, as `integrate` calls its
+    integrand, and must return an array of the same shape or a scalar,
+    which is broadcast.  Evaluated on the log axis x = e^w; the upper end
+    marches outward in unit panels until a panel is negligible, so
+    integrands whose decay rate e^{-(1-sin a)x} is much slower than e^{-x}
+    are still covered.  Where g leaves float range (an OverflowError or a
+    value that is not finite) the march ends.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
@@ -454,7 +460,10 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG):
     def f(w):
         w = np.asarray(w, dtype=float)
         xs = np.exp(w)
-        vals = np.array([g(xi) for xi in xs], dtype=float)
+        with np.errstate(over="ignore"):
+            vals = np.asarray(g(xs), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise OverflowError("g leaves float range")
         return vals * np.exp(s * w - xs)
 
     w_lo = (math.log(cfg.truncation_threshold) - 5.0) / s
@@ -476,14 +485,6 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG):
     return float(integrate(f, np.array(edges), cfg))
 
 
-def _pinned_kernel(tau, cfg):
-    def k(x):
-        p = EvaluationPoint(x, tau)
-        return k_itau_smallx(p) if x <= 0.05 else k_itau_oracle(p, cfg)
-
-    return k
-
-
 def _gamma_pair(s, tau):
     """Gamma(s + i tau) Gamma(s - i tau) = |Gamma(s + i tau)|^2 for real s."""
     return math.exp(2.0 * complex_log_gamma(complex(s, tau)).real)
@@ -497,16 +498,20 @@ def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
 
     The left side is quadrature over the log axis with panels sized to a
     quarter of the kernel's log-axis oscillation period; the right side
-    is closed-form gamma arithmetic.
+    is closed-form gamma arithmetic.  Each node array takes the kernel
+    from two array calls: the small-x series at x <= 0.05 and
+    `contour_values` above.
     """
     if not s > 0.0 or not tau > 0.0:
         raise ValueError("s and tau must be positive")
-    kernel = _pinned_kernel(tau, cfg)
 
     def f(w):
         w = np.asarray(w, dtype=float)
         xs = np.exp(w)
-        vals = np.array([kernel(xi) for xi in xs])
+        small = xs <= 0.05
+        vals = np.empty(xs.shape)
+        vals[small] = _smallx_values(xs[small], tau)
+        vals[~small] = _checked_contour(xs[~small], tau, 0.0, cfg)
         return vals * np.exp(s * w - xs)
 
     budget = -math.log(cfg.truncation_threshold)
@@ -526,7 +531,7 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
     x^{2s-1} dx.  Near x = 0 the kernel is pure oscillation in log x
     with constant amplitude, so the integral below x = 0.01 is taken in
     closed form from the two leading small-x terms; the rest is
-    phase-resolved quadrature of the oracle.
+    phase-resolved quadrature, one `contour_values` call per node array.
     """
     if not s > 0.0 or not tau > 0.0:
         raise ValueError("s and tau must be positive")
@@ -539,10 +544,10 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
 
     def f(w):
         w = np.asarray(w, dtype=float)
-        vals = np.array(
-            [k_itau_oracle(EvaluationPoint(math.exp(wi), 2.0 * tau), cfg) for wi in w]
-        )
-        return vals * np.exp(2.0 * s * w)
+        # libm's exp: numpy's differs in the last bit at a few percent of
+        # nodes, which would move the residual by roundoff
+        xs = np.fromiter(map(math.exp, w), float, w.size)
+        return _checked_contour(xs, 2.0 * tau, 0.0, cfg) * np.exp(2.0 * s * w)
 
     budget = -math.log(cfg.truncation_threshold)
     w_hi = math.log(budget + 10.0 * s)
@@ -558,10 +563,11 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
 # a-derivatives by truncated Taylor arithmetic in the shift h
 
 def _finite(value, what):
-    """``value`` itself; OverflowError where it has left float range."""
-    if not math.isfinite(value):
+    """``value`` itself (a float if it is a scalar); OverflowError where any
+    element has left float range."""
+    if not np.all(np.isfinite(value)):
         raise OverflowError(f"{what} leaves float range")
-    return value
+    return value if np.ndim(value) else float(value)
 
 
 def _check_order(n):
@@ -576,7 +582,8 @@ def _sin_series(a, m):
 
 
 def _exp_xsin_series(x, a, m):
-    """Taylor coefficients of e^{x sin(a+h)} / e^{x sin a} through h^m.
+    """Taylor coefficients of e^{x sin(a+h)} / e^{x sin a} through h^m,
+    elementwise over an array x.
 
     The exp-of-series recurrence E_k = (1/k) sum_{j=1..k} j g_j E_{k-j}
     with g = x sin(a+h) (Knuth, TAOCP Vol. 2, 4.7).
@@ -625,12 +632,17 @@ def deriv_exp_xsina(n, x, a):
 
 
 def theorem2_limit(x, a):
-    """Weak limit of f_eps with psi1 = 1, psi2 = 0: (pi/2) e^{x sin a}."""
-    if not x > 0.0:
+    """Weak limit of f_eps with psi1 = 1, psi2 = 0: (pi/2) e^{x sin a}.
+
+    Elementwise over an array x, as `mellin_pair` calls it; OverflowError
+    if any value leaves float range.
+    """
+    if not np.all(np.asarray(x) > 0.0):
         raise ValueError("x must be positive")
     if not 0.0 <= a < 0.5 * math.pi:
         raise ValueError("a must lie in [0, pi/2)")
-    return 0.5 * math.pi * math.exp(x * math.sin(a))
+    with np.errstate(over="ignore"):
+        return _finite(0.5 * math.pi * np.exp(x * math.sin(a)), "weak limit")
 
 
 def _check_types(a, psi1, psi2):
@@ -643,16 +655,21 @@ def theorem3_value(x, a, psi1, psi2):
     """Operator form of the limit: psi1 and psi2 acting through a-derivatives.
 
     (pi/2) [ sum_n c_{2n,1} D^{2n} + sum_n c_{2n,2} D^{2n+1} ] e^{x sin a},
-    D = d/da, summed over the supplied coefficients (orders up to 60);
-    OverflowError where the value leaves float range.
+    D = d/da, summed over the supplied coefficients (orders up to 60).
+    ``x`` is a positive number or an array of them (elementwise, so
+    `mellin_pair` makes one call per node array).  ValueError if any x is
+    not positive, OverflowError if any value leaves float range.
     """
-    if not x > 0.0:
+    if not np.all(np.asarray(x) > 0.0):
         raise ValueError("x must be positive")
     if not 0.0 <= a < 0.5 * math.pi:
         raise ValueError("a must lie in [0, pi/2)")
     _check_types(a, psi1, psi2)
-    acc = _apply_operator(psi1, psi2, lambda m: _exp_xsin_series(x, a, m))
-    return _finite(0.5 * math.pi * acc * math.exp(x * math.sin(a)), "operator limit")
+    # numpy signals overflow by a warning and inf; _finite turns it into OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = _apply_operator(psi1, psi2, lambda m: _exp_xsin_series(x, a, m))
+        value = 0.5 * math.pi * acc * np.exp(x * math.sin(a))
+    return _finite(value, "operator limit")
 
 
 def theorem3_target(s, a, psi1, psi2):

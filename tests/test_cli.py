@@ -140,9 +140,10 @@ class TestEval:
         assert code == 3
         assert "accuracy" in err
 
-    @pytest.mark.parametrize("x, tau", [("700", "0.1"), ("1e4", "1")])
+    @pytest.mark.parametrize("x, tau", [("700", "0.1"), ("1e4", "1"), ("30", "1"), ("100", "1")])
     def test_key_formula_overflow_exits_three(self, capsys, recwarn, x, tau):
         # the key-formula reference series overflows or does not terminate
+        # (x = 700, 1e4), or cancels below its roundoff floor (x = 30, 100)
         code, out, err = run(capsys, "eval", "--x", x, "--tau", tau)
         assert code == 3
         assert out == ""

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy import special
+
+from klbessel import kernel
 from klbessel.kernel import (
     EvaluationPoint,
     OrderSpec,
@@ -15,6 +18,7 @@ from klbessel.kernel import (
     k_itau_smallx,
     natural_scale,
 )
+from klbessel.quadrature import AccuracyError
 from klbessel.special import bessel_k0, complex_log_gamma
 
 # Frozen reference values, computed once with 50-digit arithmetic from the
@@ -165,6 +169,42 @@ def test_contour_values_domain(x, tau, mu):
         contour_values(x, tau, mu)
 
 
+def _full_scan_angles(x, tau):
+    """The first of 512 grid angles within 3 nats of the grid minimum of
+    g(t) = -tau t + log K_0(x cos t), scanning every angle."""
+    angles = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
+    c = np.asarray(x)[:, None] * np.cos(angles)
+    g = np.log(special.k0e(c)) - c - np.asarray(tau)[:, None] * angles
+    return angles[np.argmax(g <= g.min(axis=1, keepdims=True) + 3.0, axis=1)]
+
+
+CATALOG_CORNERS = ([0.01, 100.0, 0.01, 100.0], [0.1, 0.1, 40.0, 40.0])
+
+
+def test_contour_angles_match_full_scan():
+    rng = np.random.default_rng(20221)
+    n = 10_000
+    x = np.exp(rng.uniform(math.log(0.005), math.log(150.0), n))
+    tau = np.exp(rng.uniform(math.log(0.05), math.log(60.0), n))
+    want = np.concatenate([_full_scan_angles(x[i:i + 500], tau[i:i + 500]) for i in range(0, n, 500)])
+    assert np.array_equal(kernel._contour_angles(x, tau), want)
+    grid_x, grid_tau = np.geomspace(0.01, 100.0, 25), np.geomspace(0.1, 40.0, 25)
+    x, tau = (a.ravel() for a in np.meshgrid(grid_x, grid_tau))
+    assert np.array_equal(kernel._contour_angles(x, tau), _full_scan_angles(x, tau))
+    for xi, ti in zip(*CATALOG_CORNERS):
+        one = kernel._contour_angles(np.array([xi]), np.array([ti]))
+        assert np.array_equal(one, _full_scan_angles([xi], [ti])), (xi, ti)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.1, 0.25, 0.5, 1.0])
+def test_contour_values_at_catalog_corners_match_full_scan(cfg, mu, monkeypatch):
+    got = contour_values(*CATALOG_CORNERS, mu, cfg)
+    monkeypatch.setattr(kernel, "_contour_angles", _full_scan_angles)
+    want = contour_values(*CATALOG_CORNERS, mu, cfg)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def test_complex_order_reduces_to_real_kernel(cfg):
     p = EvaluationPoint(2.0, 3.0)
     got = k_complex_order(OrderSpec(0.0, 3.0), 2.0, cfg)
@@ -196,6 +236,16 @@ def test_keyformula_matches_oracle(cfg, n_terms):
             b = k_itau_oracle(p, cfg)
             worst = max(worst, abs(a - b) / natural_scale(tau))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("x", [30.0, 100.0])
+@pytest.mark.parametrize("n_terms", [0, 4])
+def test_keyformula_refuses_below_roundoff_floor(cfg, x, n_terms):
+    # the bracket grows like e^x, K like e^{-x}: the real part cancels far
+    # below the bracket's roundoff (K is 2.1e-14 at x=30, 4.6e-45 at x=100)
+    with pytest.raises(AccuracyError) as exc:
+        k_itau_keyformula(EvaluationPoint(x, 1.0), n_terms, cfg)
+    assert exc.value.achieved > 1e-8
 
 
 def test_keyformula_rejects_bad_order_count(cfg):

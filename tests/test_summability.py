@@ -2,13 +2,14 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from klbessel import summability
-from klbessel.kernel import EvaluationPoint, k_itau_oracle
-from klbessel.quadrature import AccuracyError
+from klbessel import bounds, kernel, summability
+from klbessel.kernel import EvaluationPoint, k_itau_oracle, k_itau_smallx
+from klbessel.quadrature import DEFAULT_CONFIG, AccuracyError
 from klbessel.special import bessel_k0
 from klbessel.summability import (
     DEFAULT_SCHEDULE,
@@ -297,14 +298,14 @@ class TestMellinPair:
         )
 
     def test_tilted_exponential(self, cfg):
-        g = lambda x: math.exp(x * math.sin(0.5))
+        g = lambda x: np.exp(x * math.sin(0.5))
         expected = 1.0 / (1.0 - math.sin(0.5))
         assert mellin_pair(g, 1.0, cfg) == pytest.approx(expected, rel=1e-10)
 
     def test_slow_decay_tail_is_marched(self, cfg):
         # decay rate 1 - sin 1.2 = 0.068: the fixed window would quit far
         # too early without the outward marching
-        g = lambda x: math.exp(x * math.sin(1.2))
+        g = lambda x: np.exp(x * math.sin(1.2))
         expected = 1.0 / (1.0 - math.sin(1.2))
         assert mellin_pair(g, 1.0, cfg) == pytest.approx(expected, rel=1e-8)
 
@@ -328,7 +329,7 @@ class TestMellinKIdentity:
         # at tau -> 0 the right side tends to pi^{3/2}/sqrt(2), and the
         # transform of K_0 reproduces it through a separate quadrature
         assert mellin_k_identity(0.5, 1e-6, cfg) <= 1e-7
-        direct = mellin_pair(lambda x: bessel_k0(x, cfg), 0.5, cfg)
+        direct = mellin_pair(np.vectorize(lambda x: bessel_k0(x, cfg)), 0.5, cfg)
         assert direct == pytest.approx(MELLIN_K0_HALF, rel=1e-8)
 
     def test_domain(self, cfg):
@@ -562,24 +563,26 @@ F_EPSILON_FROZEN = (
 
 
 @pytest.fixture
-def oracle_calls(monkeypatch):
-    """Count the contour-oracle calls made from summability."""
-    calls = []
+def contour_points(monkeypatch):
+    """Record the (x, tau) points summability sends to the contour evaluator."""
+    points = []
 
-    def counting(p, cfg):
-        calls.append(p)
-        return k_itau_oracle(p, cfg)
+    def counting(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
+        values = kernel._checked_contour(x, tau, mu, cfg)
+        xs, taus = np.broadcast_arrays(x, tau)
+        points.extend(zip(xs.ravel(), taus.ravel()))
+        return values
 
-    monkeypatch.setattr(summability, "k_itau_oracle", counting)
-    return calls
+    monkeypatch.setattr(summability, "_checked_contour", counting)
+    return points
 
 
 class TestScaledKernel:
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 20.0])
-    def test_series_head_matches_scalar_route(self, x, cfg, oracle_calls):
+    def test_series_head_matches_scalar_route(self, x, cfg, contour_points):
         taus = np.geomspace(1e-3, max(40.0, 2.0 * x), 300)
         got = summability._scaled_kernel(x, taus, cfg)
-        rejected = len(oracle_calls)
+        rejected = len(contour_points)
         for t, g in zip(taus, got):
             want = k_itau_oracle(EvaluationPoint(x, t), cfg) * math.exp(0.5 * math.pi * t)
             assert abs(g - want) <= 1e-11 * math.sqrt(2.0 * math.pi / t), (x, t)
@@ -615,9 +618,9 @@ class TestFEpsilon:
         q = SummabilityQuery(x=x, a=a, psi1=psi1, psi2=psi2)
         assert abs(f_epsilon(q, eps, cfg) - want) <= 1e-12
 
-    def test_head_makes_no_oracle_call_at_moderate_x(self, cfg, oracle_calls):
+    def test_head_makes_no_oracle_call_at_moderate_x(self, cfg, contour_points):
         f_epsilon(SummabilityQuery(x=1.0), 1e-2, cfg)
-        assert oracle_calls == []
+        assert contour_points == []
 
     def test_large_x_raises_in_the_tail(self, cfg):
         # the tail amplitude's remainder integral misses the tolerance at x = 30
@@ -642,3 +645,93 @@ class TestFEpsilon:
     def test_requires_positive_eps(self, cfg):
         with pytest.raises(ValueError):
             f_epsilon(SummabilityQuery(), 0.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# node-array consumers of the kernel against a scalar-oracle loop
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count the scalar-oracle calls made through any klbessel module."""
+    calls = []
+
+    def counting(p, cfg=DEFAULT_CONFIG):
+        calls.append(p)
+        return k_itau_oracle(p, cfg)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("klbessel") and hasattr(module, "k_itau_oracle"):
+            monkeypatch.setattr(module, "k_itau_oracle", counting)
+    return calls
+
+
+@pytest.fixture
+def integrands(monkeypatch):
+    """Record the (integrand, edges) of every `integrate` call in summability and bounds."""
+    seen = []
+    real = summability.integrate
+
+    def recording(f, edges, cfg=DEFAULT_CONFIG):
+        seen.append((f, np.asarray(edges)))
+        return real(f, edges, cfg)
+
+    monkeypatch.setattr(summability, "integrate", recording)
+    monkeypatch.setattr(bounds, "integrate", recording)
+    return seen
+
+
+def _span_nodes(edges, n=257):
+    return np.linspace(edges[0], edges[-1], n)
+
+
+class TestBatchedConsumers:
+    """Each consumer takes its kernel values as one array call per node array:
+    no scalar-oracle call, and values equal to a scalar-oracle loop bit for bit."""
+
+    def test_gamma_product_identity(self, cfg, oracle_calls, integrands):
+        s, tau = 1.0, 1.0
+        gamma_product_identity(s, tau, cfg)
+        assert oracle_calls == []
+        (f, edges), = integrands
+        w = _span_nodes(edges)
+        loop = np.array([k_itau_oracle(EvaluationPoint(math.exp(wi), 2.0 * tau), cfg) for wi in w])
+        assert np.array_equal(f(w), loop * np.exp(2.0 * s * w))
+
+    def test_mellin_k_identity(self, cfg, oracle_calls, integrands):
+        s, tau = 1.0, 2.0
+        mellin_k_identity(s, tau, cfg)
+        assert oracle_calls == []
+        (f, edges), = integrands
+        w = _span_nodes(edges)
+        xs = np.exp(w)
+        assert xs.min() <= 0.05 < xs.max()
+        loop = np.array([
+            k_itau_smallx(EvaluationPoint(xi, tau)) if xi <= 0.05
+            else k_itau_oracle(EvaluationPoint(xi, tau), cfg)
+            for xi in xs
+        ])
+        assert np.array_equal(f(w), loop * np.exp(s * w - xs))
+
+    def test_eq_1_27(self, cfg, oracle_calls, integrands):
+        p = EvaluationPoint(1.0, 1.0)
+        bounds.verify_representation("EQ_1_27", p, cfg)
+        # the left side K^2 at p itself is the only scalar call
+        assert oracle_calls == [p]
+        (f, edges), = integrands
+        w = _span_nodes(edges)
+        loop = np.array([
+            k_itau_oracle(EvaluationPoint(2.0 * p.x * math.cosh(wi), 2.0 * p.tau), cfg) for wi in w
+        ])
+        assert np.array_equal(f(w), loop)
+
+    def test_f_epsilon_head_at_x_20(self, cfg, oracle_calls):
+        x = 20.0
+        f_epsilon(SummabilityQuery(x=x), 1e-2, cfg)
+        assert oracle_calls == []
+        taus = np.geomspace(1e-3, 40.0, 300)
+        scaled, monitor = kernel._defseries_scaled(x, taus)
+        rejected = np.flatnonzero(~(monitor <= cfg.rel_tol))
+        assert 0 < rejected.size < taus.size
+        for i in rejected:
+            scaled[i] = k_itau_oracle(EvaluationPoint(x, taus[i]), cfg) * np.exp(0.5 * math.pi * taus[i])
+        assert np.array_equal(summability._scaled_kernel(x, taus, cfg), scaled)
