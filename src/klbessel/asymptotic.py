@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .kernel import EvaluationPoint, _remainder_integral, _series_tail, k_itau_oracle, natural_scale
-from .quadrature import DEFAULT_CONFIG, integrate, phase_edges
-from .special import bessel_i, complex_log_gamma
+from .kernel import _KEYFORMULA_BUDGET, EvaluationPoint, _remainder_integral, _series_tail
+from .kernel import k_itau_oracle, natural_scale
+from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, phase_edges
+from .special import bessel_i
 
 __all__ = [
     "ExpansionReport",
@@ -94,15 +95,16 @@ def stirling_r_gamma(tau):
 
     Defined by Gamma(i tau) = sqrt(2 pi / tau) e^{-pi tau/2}
     e^{i(tau log(tau/e) - pi/4)} (1 + r(tau)); this is the fast,
-    quadrature-free construction.
+    quadrature-free construction.  ``tau`` is a number (complex result) or
+    an array (complex array); every element must be positive.
     """
-    if not tau > 0.0:
+    t = np.asarray(tau, dtype=float)
+    if not np.all(t > 0.0):
         raise ValueError("tau must be positive")
-    log_rest = complex(
-        0.5 * (math.pi * tau + math.log(tau / (2.0 * math.pi))),
-        -(tau * math.log(tau / math.e) - _QUARTER_PI),
-    )
-    return cmath.exp(complex_log_gamma(1j * tau) + log_rest) - 1.0
+    log_rest = (0.5 * (math.pi * t + np.log(t / (2.0 * math.pi)))
+                - 1j * (t * np.log(t / math.e) - _QUARTER_PI))
+    r = np.exp(_sp.loggamma(1j * t) + log_rest) - 1.0
+    return r if np.ndim(tau) else complex(r)
 
 
 def _binet_integrand(t):
@@ -204,6 +206,10 @@ def expansion_report(p, N, tau0, X, cfg=DEFAULT_CONFIG):
     The measured remainder is recovered from the same kernel value that is
     reported, so ``leading + scale * remainder_measured == k_value`` holds
     exactly.  N = 0 is checked against the N = 1 bound.
+
+    Raises `AccuracyError` where the explicit and measured remainders
+    differ by more than the cross-method budget 1e-8, so no explicit
+    remainder is reported unchecked.
     """
     if not (p.x <= X and p.tau >= tau0):
         raise ValueError("point must satisfy x <= X and tau >= tau0")
@@ -211,6 +217,9 @@ def expansion_report(p, N, tau0, X, cfg=DEFAULT_CONFIG):
     k_value = k_itau_oracle(p, cfg)
     measured = k_value / scale - math.cos(phase(p))
     explicit = remainder_explicit(p, N, cfg)
+    if not abs(explicit - measured) <= _KEYFORMULA_BUDGET:
+        raise AccuracyError(f"explicit remainder disagrees with the measured one at {p}, N={N}",
+                            achieved=abs(explicit - measured))
     bound = remainder_bound(p.tau, tau0, X, max(N, 1))
     return ExpansionReport(
         point=p,

@@ -268,6 +268,33 @@ def _series_tail(x, tau, N):
     return total
 
 
+def _bracket_series(x, tau):
+    """1 + S_inf = sum_{k>=0} (x/2)^{2k} / (k! (1 - i tau)_k), for one x and a tau array.
+
+    The key-formula bracket 1 + S_N + T_N at every N, and equal to
+    Gamma(1 - i tau) (x/2)^{i tau} I_{-i tau}(x).  Its factor in the kernel
+    has modulus about the natural scale, so its absolute error is quoted
+    against that scale.  Returns ``(bracket, monitor)``: the monitor is
+    machine epsilon times sum_k |term_k|, infinite where 400 terms did not
+    converge.
+    """
+    tau = np.asarray(tau, dtype=float)
+    itau = 1j * tau
+    q = 0.25 * x * x
+    term = np.ones(tau.shape, dtype=complex)
+    total = term.copy()
+    mass = np.ones(tau.shape)
+    for k in range(1, 401):
+        term *= q / (k * (k - itau))
+        total += term
+        mag = np.abs(term)
+        mass += mag
+        converged = mag <= 1e-18 * mass
+        if np.all(converged):
+            break
+    return total, np.where(converged, _EPS * mass, np.inf)
+
+
 def _entire_g(w, N):
     """G(w) = I_{N+1}(sqrt w) / (sqrt w)^{N+1}, an entire function of w >= 0.
 
@@ -284,10 +311,10 @@ def _entire_g(w, N):
         for k in range(1, 400):
             term = term * w / (4.0 * k * (k + N + 1))
             total += term
-            if np.all(term <= 1e-18 * (total + 1.0)):
+            if np.all(term <= 1e-18 * total):
                 break
     # an overflowed sum stops the loop too (inf <= inf)
-    if not (np.all(np.isfinite(total)) and np.all(term <= 1e-18 * (total + 1.0))):
+    if not (np.all(np.isfinite(total)) and np.all(term <= 1e-18 * total)):
         raise AccuracyError("entire-part series overflowed or did not terminate")
     return total
 

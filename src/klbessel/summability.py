@@ -7,10 +7,11 @@ The object of study is
 
 which diverges at eps = 0 for a > 0 and is summed in the Abel sense
 against Mellin test functions e^{-x} x^{s-1}.  Pointwise, `f_epsilon`
-integrates whole node arrays: its head takes the kernel from the
-definitional series with a per-node cancellation check (one contour
-evaluator call for the nodes that fail it), its tail a Chebyshev interpolant
-of the large-order amplitude whose trailing coefficients are checked.
+integrates whole node arrays: each node takes the kernel from the
+definitional series where its cancellation check passes, from one contour
+evaluator call for the nodes it rejects, and at large tau from the
+large-order identity with the key-formula bracket summed as a convergent
+series, each route checked per node.
 Pairings are computed on the tau side (a convergent gamma-weighted
 integral equal to the pairing by Fubini), closed forms for the two base
 tau-integrals give exact targets, and the limit operator acts through
@@ -28,13 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Chebyshev
 from scipy import special as _sp
 
-from .asymptotic import phase as _expansion_phase
-from .asymptotic import remainder_explicit, stirling_r_gamma
-from .kernel import EvaluationPoint, _checked_contour, _defseries_scaled
-from .kernel import _remainder_integral, _series_tail, _smallx_values
+from .asymptotic import stirling_r_gamma
+from .kernel import _bracket_series, _checked_contour, _defseries_scaled, _smallx_values
 from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, panel_sums, phase_edges
 from .special import complex_log_gamma
 
@@ -290,68 +288,45 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
 
 
 def _scaled_kernel(x, tau, cfg):
-    """K_{i tau}(x) e^{pi tau/2} on an array of tau, stable for all tau.
+    """K_{i tau}(x) e^{pi tau/2} on an array of tau, for `f_epsilon`.
 
-    Every node first takes the definitional series (`_defseries_scaled`,
-    one vectorized pass), and keeps it when the series' cancellation
-    monitor is within ``cfg.rel_tol`` of the natural scale, as it is
-    throughout for moderate x.  A rejected node (monitor above the
-    tolerance, NaN or inf) takes another route: inside the contour
-    evaluator's certified range tau <= max(40, 2x) all such nodes are one
-    `contour_values` call, rescaled directly; beyond it the expansion
-    identity (leading cosine plus the explicitly constructed remainder,
-    exact at every order) supplies the scaled value node by node and
-    dodges the float64 underflow of the raw kernel near tau ~ 450.
+    Each node takes the first of these routes that meets ``cfg.rel_tol`` of
+    the natural scale: the definitional series (`_defseries_scaled`) where
+    its cancellation monitor allows; the contour evaluator up to
+    tau = max(40, 2x); past that the exact large-order identity
+    sqrt(2 pi/tau) Re[e^{i phi} (1 + r)(1 + S_inf)], with r the Stirling
+    factor and the bracket 1 + S_inf summed in full (`_bracket_series`),
+    where its roundoff monitor allows; the contour evaluator again up to
+    tau = 400, where e^{-pi tau/2} is still clear of float64 underflow.
+    Both contour routes are one `contour_values` call.  A node no route
+    takes raises `AccuracyError` naming x and the worst tau, ``achieved``
+    being the bracket's monitor there.
     """
     tau = np.asarray(tau, dtype=float)
     scaled, monitor = _defseries_scaled(x, tau)
-    rejected = ~(monitor <= cfg.rel_tol)
-    contour = rejected & (tau <= max(40.0, 2.0 * x))
+    contour = ~(monitor <= cfg.rel_tol)
+    far = np.flatnonzero(contour & (tau > max(40.0, 2.0 * x)))
+    if far.size:
+        t = tau[far]
+        bracket, bracket_monitor = _bracket_series(x, t)
+        ok = bracket_monitor <= cfg.rel_tol
+        stuck = ~ok & (t > 400.0)
+        if stuck.any():
+            worst = np.argmax(np.where(stuck, bracket_monitor, -np.inf))
+            raise AccuracyError(
+                "f_epsilon: no kernel route meets the tolerance at "
+                f"x={x:.17g}, tau={t[worst]:.17g}",
+                achieved=float(bracket_monitor[worst]),
+            )
+        far, t = far[ok], t[ok]
+        phi = t * np.log(2.0 * t / (math.e * x)) - 0.25 * math.pi
+        amplitude = (1.0 + stirling_r_gamma(t)) * bracket[ok]
+        scaled[far] = np.sqrt(2.0 * math.pi / t) * np.real(np.exp(1j * phi) * amplitude)
+        contour[far] = False
     if contour.any():
         t = tau[contour]
         scaled[contour] = _checked_contour(x, t, 0.0, cfg) * np.exp(0.5 * math.pi * t)
-    for i in np.flatnonzero(rejected & ~contour):
-        p = EvaluationPoint(x, float(tau[i]))
-        osc = math.cos(_expansion_phase(p)) + remainder_explicit(p, 1, cfg)
-        scaled[i] = math.sqrt(2.0 * math.pi / p.tau) * osc
     return scaled
-
-
-def _expansion_amplitude(x, tau, cfg):
-    """Complex amplitude A with K e^{pi tau/2} = sqrt(2 pi/tau) Re[e^{i phi} A].
-
-    A = (1 + r)(1 + S_N + T_N), the Stirling correction times the
-    expansion bracket; every factor is exact, so this is an identity.
-    """
-    r = stirling_r_gamma(tau)
-    return (1.0 + r) * (1.0 + _series_tail(x, tau, 1) + _remainder_integral(x, tau, 1, cfg))
-
-
-def _amplitude_interpolant(x, u_lo, u_hi, reach, cfg):
-    """Chebyshev interpolant of the expansion amplitude A in u = 1/tau on [u_lo, u_hi].
-
-    ``reach`` bounds how far an amplitude error delta can move the
-    integral that uses A (by at most delta * reach).  The degree starts at
-    15 and doubles up to 63 until the two trailing coefficients, the
-    interpolation error, satisfy
-    delta * reach <= abs_tol + rel_tol * max|A| * reach.
-
-    Raises
-    ------
-    AccuracyError
-        If degree 63 still misses that tolerance; ``achieved`` carries the
-        last trailing coefficient size.
-    """
-    def samples(u):
-        return np.array([_expansion_amplitude(x, 1.0 / ui, cfg) for ui in u])
-
-    for deg in (15, 31, 63):
-        amp = Chebyshev.interpolate(samples, deg, domain=[u_lo, u_hi])
-        trailing = float(np.max(np.abs(amp.coef[-2:])))
-        peak = float(np.max(np.abs(amp.linspace(2 * deg + 2)[1])))
-        if trailing * reach <= cfg.abs_tol + cfg.rel_tol * peak * reach:
-            return amp
-    raise AccuracyError("Chebyshev amplitude interpolant did not converge", achieved=trailing)
 
 
 def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
@@ -362,23 +337,16 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
     Gaussian factors are assembled in log space against the kernel's
     e^{-pi tau/2} decay.
 
-    Head, tau <= max(40, 2x): the scaled kernel comes from the
-    definitional series on each whole node array, with a per-node
-    cancellation check that sends only the rejected nodes, in one array
-    call, to the contour evaluator (none at x <= 5, tau below about 0.02
-    at x = 10, tau below about 10 at x = 20).
-    Tail, beyond the head: the kernel is written as
-    sqrt(2 pi/tau) Re[e^{i phi} A(tau)] and the smooth amplitude A is
-    interpolated in 1/tau by a Chebyshev series of degree 15 to 63 whose
-    trailing coefficients are checked against the tolerance, so the far
-    tail costs 16 amplitude evaluations even for small eps.  The tail is
-    built first, so a failing amplitude raises before the head is paid.
+    The scaled kernel comes from `_scaled_kernel` on each whole node array:
+    the definitional series where its cancellation check passes (every
+    node at x <= 5), the contour evaluator for the rejected nodes up to
+    tau = max(40, 2x), and past that the large-order identity with the
+    key-formula bracket summed in full.  No node costs a quadrature of its
+    own, and the whole range [0, tau_max] is one phase-resolved integral.
 
-    Domain: x up to about 20.  At x = 30 the tail's amplitude
-    (`_remainder_integral` at N = 1) misses the tolerance and raises
-    AccuracyError; at x = 20 the amplitude carries noise near 1e-10,
-    which the check admits only where the Gaussian has made the tail
-    small (eps = 1e-2, not eps = 1e-3).
+    Domain at a = 0: x up to 100 at eps = 1e-2 and 1e-3.  Where the
+    Gaussian reaches past tau = 400 and the bracket's roundoff misses the
+    tolerance (x = 200, eps = 1e-4), AccuracyError names x and tau.
 
     For a > 0 the value is what is left after cancellation.  The
     weight e^{-eps tau^2 + a tau} peaks near tau = a/(2 eps) at
@@ -415,28 +383,11 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
     for _ in range(4):
         need = budget + _psi_growth(q.psi1, q.psi2, tmax)
         tmax = (a + math.sqrt(a * a + 4.0 * eps * need)) / (2.0 * eps)
-    t_split = min(tmax, max(40.0, 2.0 * x))
 
-    tail = 0.0
-    if tmax > t_split:
-        # an amplitude error delta moves the tail by at most delta * reach
-        reach = float(np.sum(panel_sums(
-            lambda t: np.abs(weight(t)) * np.sqrt(2.0 * math.pi / t),
-            np.linspace(t_split, tmax, 17),
-        )))
-        amp = _amplitude_interpolant(x, 1.0 / tmax, 1.0 / t_split, reach, cfg)
-
-        def f_tail(t):
-            osc = np.real(np.exp(1j * (phase_fn(t) - 0.25 * math.pi)) * amp(1.0 / t))
-            return weight(t) * np.sqrt(2.0 * math.pi / t) * osc
-
-        tail = integrate(f_tail, phase_edges(phase_fn, t_split, tmax), cfg)
-
-    def f_head(t):
+    def f(t):
         return weight(t) * _scaled_kernel(x, t, cfg)
 
-    total = integrate(f_head, phase_edges(phase_fn, 0.0, t_split), cfg)
-    return float(total + tail)
+    return float(integrate(f, phase_edges(phase_fn, 0.0, tmax), cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from klbessel import (
     theorem3_check,
     verify_representation,
 )
+from klbessel.kernel import _bracket_series, _remainder_integral, _series_tail
 from klbessel.summability import closed_cosh, closed_sinh
 
 SQRT_2_OVER_PI = 0.79788456080286536
@@ -149,6 +150,24 @@ def test_criterion_5_remainder_theorem(cfg):
              f"6x3 grid x N in {{1,2,3}} within bound: {grid_ok}, "
              f"max tau|R| {decay_worst:.2e} <= {cap:.2e}, "
              f"Stirling envelope on 100 samples: {stirling_ok}")
+
+
+def test_explicit_remainder_integral_is_the_series_tail(cfg):
+    # A free cross-check of criterion 5's explicit remainder: the quadrature
+    # T_N of the key formula equals the tail sum_{k>N} of the bracket's
+    # convergent series, quoted against the natural scale through the
+    # factor (1 + r) that multiplies the bracket.
+    taus = [1.0, 2.5, 6.3, 16.0, 40.0]
+    factors = 1.0 + stirling_r_gamma(np.array(taus))
+    worst = 0.0
+    for x in np.geomspace(0.1, 18.0, 7):
+        x = float(x)
+        bracket, _ = _bracket_series(x, taus)
+        for N in (1, 4, 10, 16, 20):
+            for tau, full, factor in zip(taus, bracket, factors):
+                tail = full - 1.0 - _series_tail(x, tau, N)
+                worst = max(worst, abs(factor * (_remainder_integral(x, tau, N, cfg) - tail)))
+    assert worst <= 1e-8, worst
 
 
 def test_criterion_6_closed_form_tau_integrals(cfg):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from klbessel import asymptotic
 from klbessel.asymptotic import (
     expansion_report,
     leading_term,
@@ -19,6 +20,7 @@ from klbessel.asymptotic import (
     stirling_r_integral,
 )
 from klbessel.kernel import EvaluationPoint, k_itau_oracle, natural_scale
+from klbessel.quadrature import AccuracyError
 
 # Stirling remainders pinned from 50-digit arithmetic; float64 phase
 # roundoff grows like tau*log(tau), hence the 1e-10 comparison.
@@ -57,6 +59,15 @@ def test_stirling_r_gamma_decay():
 def test_stirling_r_gamma_domain():
     with pytest.raises(ValueError):
         stirling_r_gamma(0.0)
+    with pytest.raises(ValueError):
+        stirling_r_gamma(np.array([1.0, 0.0]))
+
+
+def test_stirling_r_gamma_array_matches_scalars():
+    taus = np.geomspace(0.5, 700.0, 50)
+    got = stirling_r_gamma(taus)
+    assert isinstance(stirling_r_gamma(2.0), complex)
+    assert np.array_equal(got, [stirling_r_gamma(float(t)) for t in taus])
 
 
 @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0, 5.0, 10.0, 40.0])
@@ -174,6 +185,16 @@ def test_expansion_report_exact_consistency(cfg):
 def test_expansion_report_zero_order_uses_next_bound(cfg):
     rep = expansion_report(EvaluationPoint(1.0, 5.0), 0, 1.0, 5.0, cfg)
     assert rep.remainder_bound == remainder_bound(5.0, 1.0, 5.0, 1)
+
+
+def test_expansion_report_refuses_unchecked_explicit_remainder(cfg, monkeypatch):
+    p = EvaluationPoint(1.0, 5.0)
+    true_explicit = asymptotic.remainder_explicit
+    monkeypatch.setattr(asymptotic, "remainder_explicit",
+                        lambda p, N, cfg: true_explicit(p, N, cfg) + 2e-8)
+    with pytest.raises(AccuracyError) as exc:
+        expansion_report(p, 1, 1.0, 5.0, cfg)
+    assert 1e-8 < exc.value.achieved < 3e-8
 
 
 def test_expansion_report_domain(cfg):

@@ -216,6 +216,23 @@ class TestAsympt:
         code, _, _ = run(capsys, "asympt", "--x", "7.0", "--tau-count", "2")
         assert code == 2  # x must not exceed the window bound X
 
+    def test_deep_truncation_prints_a_checked_remainder(self, capsys):
+        code, out, _ = run(capsys, "asympt", "--x", "15", "--X", "15", "--N", "16",
+                           "--tau-count", "4")
+        assert code == 0
+        header, rows = parse_csv(out)
+        measured, explicit = (header.index(k) for k in ("remainder_measured", "remainder_explicit"))
+        assert all(abs(float(r[measured]) - float(r[explicit])) <= 1e-8 for r in rows)
+
+    def test_unchecked_remainder_exits_three(self, capsys, monkeypatch):
+        true_explicit = asymptotic.remainder_explicit
+        monkeypatch.setattr(asymptotic, "remainder_explicit",
+                            lambda p, N, cfg: true_explicit(p, N, cfg) + 1e-6)
+        code, out, err = run(capsys, "asympt", "--tau-count", "2")
+        assert code == 3
+        assert out == ""
+        assert "explicit remainder" in err
+
 
 class TestIdentities:
     def test_default_rows_pass(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 from klbessel import kernel
+from klbessel.asymptotic import remainder_explicit, remainder_measured
 from klbessel.kernel import (
     EvaluationPoint,
     OrderSpec,
@@ -236,6 +237,22 @@ def test_keyformula_matches_oracle(cfg, n_terms):
             b = k_itau_oracle(p, cfg)
             worst = max(worst, abs(a - b) / natural_scale(tau))
     assert worst <= 1e-8
+
+
+def test_truncation_depth_sweep(cfg):
+    # every depth N in 0..20 gives the same kernel and the same remainder:
+    # the entire part G(w) of the remainder integral starts at
+    # 1/(2^{N+1} (N+1)!), so its stopping test must be relative
+    worst_kernel = worst_remainder = 0.0
+    for N in range(21):
+        for x, tau in ((0.5, 0.5), (2.0, 1.0), (8.0, 2.0), (18.0, 1.0), (12.0, 5.0), (4.0, 10.0)):
+            p = EvaluationPoint(x, tau)
+            kf = k_itau_keyformula(p, N, cfg)
+            worst_kernel = max(worst_kernel, abs(kf - k_itau_oracle(p, cfg)) / natural_scale(tau))
+            explicit = remainder_explicit(p, N, cfg)
+            worst_remainder = max(worst_remainder, abs(explicit - remainder_measured(p, N, cfg)))
+    assert worst_kernel <= 1e-8
+    assert worst_remainder <= 1e-8
 
 
 @pytest.mark.parametrize("x", [30.0, 100.0])

@@ -562,6 +562,20 @@ F_EPSILON_FROZEN = (
 )
 
 
+# f_epsilon at a = 0 past the old x = 20 reach, against mpmath 1.3 quadrature
+# of the defining integral (mpmath is not imported here):
+#   mp.mp.dps = 25; f = lambda t: mp.exp(-eps*t*t) * mp.cosh(mp.pi*t/2)
+#       * mp.re(mp.besselk(1j*t, x))
+#   mp.quad(f, [80*k/40 for k in range(41)])     # eps = 1e-2
+#   mp.quad(f, [240*k/120 for k in range(121)])  # eps = 1e-3
+# (x, eps, value)
+F_EPSILON_LARGE_X = (
+    (30.0, 1e-2, 3.9907687050129584e-4),
+    (20.0, 1e-3, 1.0523188880655555),
+    (100.0, 1e-3, 7.9614305387486079e-5),
+)
+
+
 @pytest.fixture
 def contour_points(monkeypatch):
     """Record the (x, tau) points summability sends to the contour evaluator."""
@@ -591,25 +605,18 @@ class TestScaledKernel:
         if x == 20.0:
             assert 0 < rejected < taus.size
 
-
-class TestAmplitudeInterpolant:
-    def test_smooth_amplitude_takes_degree_15(self, cfg, monkeypatch):
-        monkeypatch.setattr(summability, "_expansion_amplitude", lambda x, t, c: 1.0 + 1j / t)
-        amp = summability._amplitude_interpolant(1.0, 1.0 / 200.0, 1.0 / 40.0, 1.0, cfg)
-        assert amp.coef.size == 16
-        u = np.linspace(1.0 / 200.0, 1.0 / 40.0, 7)
-        assert np.max(np.abs(amp(u) - (1.0 + 1j * u))) <= 1e-14
-
-    def test_unresolved_amplitude_raises(self, cfg, monkeypatch):
-        # a wiggle far beyond degree 63 keeps the trailing coefficients near 1e-9
-        monkeypatch.setattr(
-            summability, "_expansion_amplitude", lambda x, t, c: 1.0 + 1e-9 * math.sin(1e5 / t)
-        )
-        with pytest.raises(AccuracyError) as exc:
-            summability._amplitude_interpolant(1.0, 1.0 / 200.0, 1.0 / 40.0, 1.0, cfg)
-        assert exc.value.achieved > 1e-11
-        # where the tail barely reaches the integral, the same noise is harmless
-        summability._amplitude_interpolant(1.0, 1.0 / 200.0, 1.0 / 40.0, 1e-6, cfg)
+    @pytest.mark.parametrize("x", [30.0, 50.0, 100.0])
+    def test_far_nodes_match_oracle(self, x, cfg, contour_points):
+        # past max(40, 2x) the series, the contour and (at x = 100) the
+        # large-order identity with the summed bracket all take nodes
+        taus = np.geomspace(max(40.0, 2.0 * x), 400.0, 60)[1:]
+        got = summability._scaled_kernel(x, taus, cfg)
+        for t, g in zip(taus, got):
+            want = k_itau_oracle(EvaluationPoint(x, t), cfg) * math.exp(0.5 * math.pi * t)
+            assert abs(g - want) <= 1e-11 * math.sqrt(2.0 * math.pi / t), (x, t)
+        if x == 100.0:
+            _, monitor = kernel._defseries_scaled(x, taus)
+            assert 0 < len(contour_points) < np.count_nonzero(monitor > cfg.rel_tol)
 
 
 class TestFEpsilon:
@@ -622,10 +629,30 @@ class TestFEpsilon:
         f_epsilon(SummabilityQuery(x=1.0), 1e-2, cfg)
         assert contour_points == []
 
-    def test_large_x_raises_in_the_tail(self, cfg):
-        # the tail amplitude's remainder integral misses the tolerance at x = 30
-        with pytest.raises(AccuracyError):
-            f_epsilon(SummabilityQuery(x=30.0), 1e-2, cfg)
+    @pytest.mark.parametrize("x, eps, want", F_EPSILON_LARGE_X)
+    def test_large_x_matches_quadrature_reference(self, x, eps, want, cfg):
+        assert abs(f_epsilon(SummabilityQuery(x=x), eps, cfg) - want) <= 1e-12
+
+    def test_no_kernel_route_names_its_point(self, cfg):
+        # past tau = 400 the contour evaluator nears underflow, and at x = 200
+        # the bracket series loses more than rel_tol to roundoff
+        with pytest.raises(AccuracyError) as exc:
+            f_epsilon(SummabilityQuery(x=200.0), 1e-4, cfg)
+        message = str(exc.value)
+        assert "f_epsilon" in message and "x=200," in message
+        assert float(message.rsplit("tau=", 1)[1]) > 400.0
+        assert exc.value.achieved > cfg.rel_tol
+
+    def test_no_remainder_quadrature(self, cfg, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("f_epsilon evaluated a remainder by quadrature")
+
+        for name, module in list(sys.modules.items()):
+            for fn in ("_remainder_integral", "remainder_explicit"):
+                if name.startswith("klbessel") and hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, forbidden)
+        for x, eps in ((1.0, 1e-3), (20.0, 1e-3), (100.0, 1e-3)):
+            f_epsilon(SummabilityQuery(x=x), eps, cfg)
 
     def test_zero_integrand(self, cfg):
         q = SummabilityQuery(psi1=PSI_ZERO, psi2=PSI_ZERO)
