@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as _sp
@@ -295,6 +295,11 @@ def _bracket_series(x, tau):
     return total, np.where(converged, _EPS * mass, np.inf)
 
 
+def _gamma_over_scale(tau):
+    """|Gamma(i tau)| / natural_scale(tau), a ratio that underflows for no tau."""
+    return 1.0 / math.sqrt(-math.expm1(-2.0 * math.pi * tau))
+
+
 def _entire_g(w, N):
     """G(w) = I_{N+1}(sqrt w) / (sqrt w)^{N+1}, an entire function of w >= 0.
 
@@ -333,8 +338,12 @@ def _remainder_integral(x, tau, N, cfg):
             int_0^inf e^{-(2N+2) v} e^{2 i tau v} G(x^2 (1 - e^{-2v})) dv,
 
     with G entire (see `_entire_g`).  The substitution removes both the
-    endpoint derivative blow-up at y = x and the x^{2 i tau} phase.  Raises
-    `AccuracyError` where `_entire_g` does (x beyond a few hundred).
+    endpoint derivative blow-up at y = x and the x^{2 i tau} phase.  The
+    kernel needs the bracket 1 + S_N + T_N only to the key-formula budget
+    of its natural scale, so that budget is the integral's absolute
+    tolerance; rel_tol of |T_N| alone refuses integrals that cancel over
+    their oscillation (N = 0 at x = 18, tau = 10).  Raises `AccuracyError`
+    where `_entire_g` does (x beyond a few hundred) or the integral fails.
     """
     from .special import pochhammer
 
@@ -348,8 +357,9 @@ def _remainder_integral(x, tau, N, cfg):
             x * x * (1.0 - np.exp(-2.0 * v)), N
         )
 
-    integral = integrate(f, edges, cfg)
     prefactor = x ** (2 * N + 2) / (2.0 ** N * pochhammer(1.0 - 1j * tau, N))
+    need = _KEYFORMULA_BUDGET / (_gamma_over_scale(tau) * abs(prefactor))
+    integral = integrate(f, edges, replace(cfg, abs_tol=need))
     return prefactor * complex(integral)
 
 
@@ -391,10 +401,7 @@ def k_itau_keyformula(p, N, cfg=DEFAULT_CONFIG):
     series = _series_tail(x, tau, N)
     remainder = _remainder_integral(x, tau, N, cfg)
     prefactor = cmath.exp(_sp.loggamma(1j * tau) - 1j * tau * math.log(0.5 * x))
-    # the floor over the natural scale, by |Gamma(i tau)| = natural_scale(tau)
-    # / sqrt(1 - e^{-2 pi tau}), a ratio that underflows for no tau
-    gamma_over_scale = 1.0 / math.sqrt(-math.expm1(-2.0 * math.pi * tau))
-    floor = _EPS * gamma_over_scale * (1.0 + abs(series) + abs(remainder))
+    floor = _EPS * _gamma_over_scale(tau) * (1.0 + abs(series) + abs(remainder))
     if floor > _KEYFORMULA_BUDGET:
         raise AccuracyError("key formula cancels below its roundoff floor", achieved=floor)
     return (prefactor * (1.0 + series + remainder)).real

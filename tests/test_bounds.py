@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from klbessel import quadrature
 from klbessel.bounds import (
     RATIO_SLACK,
     all_default_descriptors,
@@ -80,6 +82,73 @@ def test_measure_c_pins_and_domination():
         measure_c(-0.6)
     with pytest.raises(ValueError):
         measure_c(1.0, x_max=50.0)
+
+
+def _polished_full_scan(nu, x_max, step_density=40):
+    """Reference sup over (0, x_max]: every local maximum of the full scan
+    that lies within 1e-3 of its best sample (the scan's sampling error is
+    below 1e-4), each zoomed in by six rounds of 21 samples to 5e-8 in x,
+    which leaves an error near 1e-15 in the value."""
+
+    def u(t):
+        return np.sqrt(t) * np.abs(special.jv(nu, t))
+
+    n = int(x_max * step_density)
+    xs = np.linspace(x_max / n, x_max, n)
+    vals = u(xs)
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    best = vals.max()
+    peaks = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= best - 1e-3))
+    lo, hi = xs[np.maximum(peaks - 1, 0)], xs[np.minimum(peaks + 1, n - 1)]
+    rows = np.arange(peaks.size)
+    for _ in range(6):
+        t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 21)
+        v = u(t)
+        best = max(best, v.max())
+        i = np.argmax(v, axis=1)
+        lo, hi = t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, 20)]
+    return float(best)
+
+
+@pytest.mark.parametrize("x_max", [100.0, 3000.0])
+def test_measure_c_is_the_polished_sup_of_the_full_scan(x_max):
+    # for |nu| < 1/2 the maxima rise so slowly that the scan's argmax can
+    # sit on an earlier, lower one; the window must still find the sup
+    for nu in (-0.5, -0.3, 0.0, 0.1, 0.25, 0.49, 0.5, 0.51, 1.0, 2.0, 5.0, 20.0, 100.0):
+        got = measure_c(nu, x_max=x_max)
+        assert abs(got - _polished_full_scan(nu, x_max)) <= 1e-12, nu
+
+
+def test_measure_c_and_eq_1_6_work_stays_bounded(monkeypatch):
+    # the Sonine window and the graded origin size the work; a full scan
+    # would take 120,000 samples, and uniform halving of the EQ_1_6 head
+    # seven or eight levels
+    samples = []
+    jv = special.jv
+
+    def counting_jv(nu, x):
+        samples.append(np.size(x))
+        return jv(nu, x)
+
+    monkeypatch.setattr(special, "jv", counting_jv)
+    orders = {0.0, 0.5, 1.0, 2.0, 5.0}
+    orders |= {value for d in all_default_descriptors() for key, value in d.params if key == "nu"}
+    for nu in sorted(orders):
+        samples.clear()
+        measure_c(nu)
+        assert sum(samples) <= 2000, (nu, sum(samples))
+
+    levels = []
+    panel_sums = quadrature.panel_sums
+
+    def counting_panel_sums(f, edges):
+        levels.append(len(edges) - 1)
+        return panel_sums(f, edges)
+
+    # `integrate` looks the name up in its module; the averaged tail does not
+    monkeypatch.setattr(quadrature, "panel_sums", counting_panel_sums)
+    verify_representation("EQ_1_6", POINT_1_1)
+    assert len(levels) <= 2, levels
 
 
 def test_catalog_is_complete():
@@ -226,6 +295,14 @@ def test_representation_residuals():
     assert verify_representation("EQ_1_4", EvaluationPoint(0.5, 1.0)) <= 1e-6
     assert verify_representation("EQ_1_21", EvaluationPoint(0.5, 2.0)) <= 1e-4
     assert verify_representation("EQ_1_6", EvaluationPoint(1.0, 1.0)) <= 1e-8
+
+
+def test_eq_1_6_off_the_default_point():
+    # the integrand's y^{2 nu + 1} endpoint at y = 0 must be resolved
+    # everywhere, (0.1, 0.5) included, not only at the default point
+    for x, tau in ((1.0, 1.0), (0.5, 1.0), (2.0, 3.0), (0.1, 0.5), (5.0, 2.0), (10.0, 10.0),
+                   (0.2, 5.0)):
+        assert verify_representation("EQ_1_6", EvaluationPoint(x, tau)) <= 1e-12, (x, tau)
 
 
 def test_representation_validation():

@@ -255,6 +255,13 @@ class TestIdentities:
         assert float(rows[0][1]) == 1.0 and float(rows[0][2]) == 5.0
         assert rows[0][5] == "true"
 
+    def test_eq_1_6_off_the_default_point(self, capsys):
+        code, out, _ = run(capsys, "identities", "--id", "EQ_1_6",
+                           "--x", "0.1", "--tau", "0.5")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0][5] == "true"
+
     def test_unknown_identity(self, capsys):
         code, _, err = run(capsys, "identities", "--id", "EQ_9_99")
         assert code == 2
