@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _QUARTER_PI = 0.25 * math.pi
+# natural_scale(tau) < 1e-272 beyond this tau, so K read relative to it would
+# lose digits to gradual underflow (the scale itself is 0 from tau = 474)
+_MEASURED_TAU_MAX = 400.0
 
 # Even-order series of the Binet integrand (1/2 - 1/t + 1/(e^t - 1))/t
 # around t = 0; coefficients are B_{2k}/(2k)! for k = 1..6.  At the
@@ -145,13 +148,15 @@ def stirling_r_integral(tau, cfg=DEFAULT_CONFIG):
 
 
 def remainder_measured(p, N=0, cfg=DEFAULT_CONFIG):
-    """Remainder read off the oracle: K/scale - cos(phase).
+    """Remainder read off the oracle: K/scale - cos(phase), for tau <= 400.
 
     The exact remainder is the same number for every N (the expansion is
     an identity); N is accepted for bookkeeping symmetry with the
     explicit form.
     """
     del N
+    if p.tau > _MEASURED_TAU_MAX:
+        raise ValueError(f"a measured remainder needs tau <= {_MEASURED_TAU_MAX:g}")
     return k_itau_oracle(p, cfg) / natural_scale(p.tau) - math.cos(phase(p))
 
 
@@ -211,8 +216,8 @@ def expansion_report(p, N, tau0, X, cfg=DEFAULT_CONFIG):
     differ by more than the cross-method budget 1e-8, so no explicit
     remainder is reported unchecked.
     """
-    if not (p.x <= X and p.tau >= tau0):
-        raise ValueError("point must satisfy x <= X and tau >= tau0")
+    if not (p.x <= X and tau0 <= p.tau <= _MEASURED_TAU_MAX):
+        raise ValueError(f"point must satisfy x <= X and tau0 <= tau <= {_MEASURED_TAU_MAX:g}")
     scale = natural_scale(p.tau)
     k_value = k_itau_oracle(p, cfg)
     measured = k_value / scale - math.cos(phase(p))

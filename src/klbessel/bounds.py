@@ -25,7 +25,7 @@ from .quadrature import (
     panel_sums,
     phase_edges,
 )
-from .special import bessel_k0, log_abs_gamma, log_sinh
+from .special import log_abs_gamma, log_sinh
 
 __all__ = [
     "LANDAU_B",
@@ -355,7 +355,8 @@ def _log_bound_iter_129(params, x, tau):
 
 def _log_bound_exp_decay_315(params, x, tau):
     delta = params["delta"]
-    return -delta * tau + math.log(bessel_k0(x * math.cos(delta)))
+    z = x * math.cos(delta)
+    return -delta * tau + math.log(_sp.k0e(z)) - z
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,7 @@ _BLOCK = 1 << 15
 _ANGLES = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
 _COS = np.cos(_ANGLES)
 _STRIDE = 16  # the coarse scan takes every 16th grid angle
+_COARSE = np.arange(0, _ANGLES.size, _STRIDE)
 
 
 def _log_k0(x, j):
@@ -113,18 +114,20 @@ def _contour_angles(x, tau):
     coarse angles, 33 angles around the coarse minimum and that cell's 16,
     find the angle of a scan of the whole grid at 81 `k0e` calls per point.
     Rows are taken in order of x, so a block evaluates the coarse pass once
-    per distinct x.
+    per distinct x.  Returns ``(theta, rows)``: rows[i] is log K_0(x_i cos t)
+    at the 32 coarse angles, which `_poisson_count` reuses.
     """
     theta = np.empty(x.shape)
+    log_k0 = np.empty((x.size, _COARSE.size))
     order = np.argsort(x, kind="stable")
-    coarse_j = np.arange(0, _ANGLES.size, _STRIDE)
     near_k, cell_k = np.arange(2 * _STRIDE + 1), np.arange(_STRIDE)
     rows = _BLOCK // 64  # the widest pass takes 33 angles per point
     for i in range(0, x.size, rows):
         r = order[i:i + rows]
         xr, tr = x[r], tau[r, None]
         xs, which = np.unique(xr, return_inverse=True)
-        coarse = _log_k0(xs, coarse_j)[which] - tr * _ANGLES[coarse_j]
+        log_k0[r] = _log_k0(xs, _COARSE)[which]
+        coarse = log_k0[r] - tr * _ANGLES[_COARSE]
         near = np.clip(_STRIDE * np.argmin(coarse, axis=1) - _STRIDE, 0, _ANGLES.size - near_k.size)
         j = near[:, None] + near_k
         g_near = _log_k0(xr, j) - tr * _ANGLES[j]
@@ -133,7 +136,7 @@ def _contour_angles(x, tau):
         j = cell[:, None] + cell_k
         g_cell = _log_k0(xr, j) - tr * _ANGLES[j]
         theta[r] = _ANGLES[np.minimum(_first(g_near <= within, near), _first(g_cell <= within, cell))]
-    return theta
+    return theta, log_k0
 
 
 def _cosh_cut(c, drift, budget):
@@ -142,6 +145,22 @@ def _cosh_cut(c, drift, budget):
     for _ in range(4):
         u = np.arccosh(1.0 + (budget + drift * u) / c)
     return u + 1.0
+
+
+def _poisson_count(x, tau, theta, c, u_max, log_k0, mu, cfg):
+    """Per row, the Poisson count of `contour_values` before rounding up;
+    log_k0: the rows of `_contour_angles`, which serve at mu = 0."""
+    t, log_k = _ANGLES[_COARSE[1:]], log_k0[:, 1:]
+    if mu != 0.0:
+        xs, which = np.unique(x, return_inverse=True)
+        z = xs[:, None] * _COS[_COARSE[1:]]
+        log_k = (np.log(_sp.k1e(z) if abs(mu) == 1.0 else _sp.kve(mu, z)) - z)[which]
+    lead = c[:, None] + log_k + math.log(32.0 / cfg.abs_tol)
+    ahead = t - theta[:, None]
+    first = np.divide(lead, ahead, out=np.full(lead.shape, np.inf), where=ahead > 0.0)
+    second = np.maximum(lead / (t + theta[:, None]), 0.0)
+    omega = np.maximum(first.min(axis=1) - tau, second.min(axis=1) + tau)
+    return omega * u_max / (2.0 * math.pi)
 
 
 def _row_sums(f, rows, h, k, dtype):
@@ -193,13 +212,28 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
         K_{mu+i tau}(x) = e^{-c - tau theta + i mu theta}
             int_0^inf e^{-c (cosh u - 1)} cos(phi(u) - i mu u) du.
 
-    The integrand is entire, even and doubly-exponentially decaying, so the
-    trapezoid rule converges geometrically and a halving reuses the old
-    nodes.  A point starts at about one node per period of the phase rate
+    The integrand F is entire, even and doubly-exponentially decaying, so
+    the trapezoid rule converges geometrically and a halving reuses the old
+    nodes.  A point starts at one node per period of the phase rate
     tau + s cosh(u_max) + |mu| at the cut u_max, in a power of two of at
-    least 16 intervals (from 8, (x, tau) = (1, 1) needs a third halving to
-    reach roundoff).  Taking e^{-c} out keeps the integral near unit size,
-    so no tolerance is met by an integral that has simply underflowed.
+    least 16 intervals (from 8, (x, tau) = (1, 1) needs a third halving).
+    From 1024 intervals up it starts at the Poisson count if that is
+    smaller (Trefethen and Weideman, SIAM Rev. 56 (2014), sections 3, 5):
+    the folded rule of step h = u_max/n errs by sum_{m>=1} F^(2 pi m/h), and
+    shifting u by -/+ i theta in the Fourier transform F^ gives
+
+        |F^(w)| <= e^c [e^{(tau+w) theta} |K_{mu+i(tau+w)}(x)|
+                        + e^{(tau-w) theta} |K_{mu+i(w-tau)}(x)|].
+
+    Bound (3.15), |K_{mu+i nu}(x)| <= e^{-|nu| t} K_mu(x cos t), 0 <= t < pi/2,
+    puts the terms below abs_tol/32 once w >= L(t)/(t - theta) - tau for a
+    coarse t > theta and w >= tau + max(0, L(t')/(t' + theta)) for a t' > 0,
+    L(t) = c + log K_mu(x cos t) + log(32/abs_tol); n is the next power of
+    two, at least 16, of w u_max/(2 pi).  Fewer nodes round the sum worse,
+    about as 1/sqrt(n), and identities that divide by |K| near its zeros
+    see that, so smaller starts stay.  `refinement_verdict` alone accepts a
+    level.  Taking e^{-c} out keeps the integral near unit size, so no
+    tolerance is met by an integral that has simply underflowed.
     Accuracy is contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100; x and
     tau must be finite and positive (else `ValueError`).  Returns
     ``(values, achieved)``: values (real when mu = 0), NaN where the
@@ -209,11 +243,15 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
     valid = np.isfinite(x) & (x > 0.0) & np.isfinite(tau) & (tau > 0.0)
     if not (np.all(valid) and math.isfinite(mu)):
         raise ValueError("x and tau must be finite and positive, and mu finite")
-    theta = _contour_angles(x, tau)
+    theta, log_k0 = _contour_angles(x, tau)
     c, s = x * np.cos(theta), x * np.sin(theta)
     u_max = _cosh_cut(c, abs(mu), math.log(1.0 / cfg.truncation_threshold))
-    rate = tau + s * np.cosh(u_max) + abs(mu)
-    n0 = 2 ** np.ceil(np.log2(np.maximum(16.0, u_max * rate / (2.0 * math.pi)))).astype(int)
+    need = u_max * (tau + s * np.cosh(u_max) + abs(mu)) / (2.0 * math.pi)
+    big = np.flatnonzero(need > 512.0)  # phase-rate starts of 1024 intervals and up
+    if big.size:
+        args = (a[big] for a in (x, tau, theta, c, u_max, log_k0))
+        need[big] = np.fmin(need[big], _poisson_count(*args, mu=mu, cfg=cfg))
+    n0 = 2 ** np.ceil(np.log2(np.maximum(16.0, need))).astype(int)
 
     def f(r, u):
         phi = tau[r, None] * u - s[r, None] * np.sinh(u)
@@ -342,12 +380,18 @@ def _remainder_integral(x, tau, N, cfg):
     kernel needs the bracket 1 + S_N + T_N only to the key-formula budget
     of its natural scale, so that budget is the integral's absolute
     tolerance; rel_tol of |T_N| alone refuses integrals that cancel over
-    their oscillation (N = 0 at x = 18, tau = 10).  Raises `AccuracyError`
-    where `_entire_g` does (x beyond a few hundred) or the integral fails.
+    their oscillation (N = 0 at x = 18, tau = 10).  G increases, so
+    |T_N| <= |x^{2N+2} / (2^N (1-i tau)_N)| G(x^2) / (2N+2); below machine
+    epsilon, the bracket's own rounding, T_N is 0 with no quadrature (its
+    prefactor may underflow there).  Raises `AccuracyError` where
+    `_entire_g` does (x beyond a few hundred) or the integral fails.
     """
     from .special import pochhammer
 
     g_far = float(_entire_g(np.array([x * x]), N)[0])
+    log_bound = (2 * N + 2) * math.log(x) - N * math.log(2.0) + math.log(g_far / (2 * N + 2))
+    if log_bound - sum(math.log(math.hypot(k, tau)) for k in range(1, N + 1)) < math.log(_EPS):
+        return 0j
     budget = math.log(1.0 / cfg.truncation_threshold)
     v_max = (budget + max(0.0, math.log(g_far))) / (2.0 * N + 2.0)
     edges = phase_edges(lambda v: 2.0 * tau * v, 0.0, v_max)

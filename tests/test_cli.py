@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -151,6 +152,23 @@ class TestEval:
         assert len(recwarn) == 0
 
 
+    @pytest.mark.parametrize("argv", [
+        ("--x", "1e-33", "--tau", "1"),
+        ("--x", "1e-300", "--tau", "1", "--method", "keyformula"),
+    ])
+    def test_tiny_x_prints_a_value_or_refuses(self, capsys, recwarn, argv):
+        # the key formula's remainder prefactor x^{2N+2} underflows to 0 here
+        code, out, err = run(capsys, "eval", *argv)
+        if code == 3:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code == 0 and err == ""
+            _, rows = parse_csv(out)
+            assert math.isfinite(float(rows[0][4]))
+        assert len(recwarn) == 0
+
+
 class TestCertify:
     def test_single_bound_passes(self, capsys):
         code, out, _ = run(capsys, "certify", "--id", "LEBEDEV_15",
@@ -215,6 +233,13 @@ class TestAsympt:
     def test_point_outside_domain(self, capsys):
         code, _, _ = run(capsys, "asympt", "--x", "7.0", "--tau-count", "2")
         assert code == 2  # x must not exceed the window bound X
+
+    def test_tau_beyond_the_measured_range(self, capsys):
+        # natural_scale(tau) underflows to 0 from tau = 474
+        code, out, err = run(capsys, "asympt", "--tau-min", "500", "--tau-max", "1000",
+                             "--tau-count", "2")
+        assert code == 2
+        assert out == "" and "tau <= 400" in err
 
     def test_deep_truncation_prints_a_checked_remainder(self, capsys):
         code, out, _ = run(capsys, "asympt", "--x", "15", "--X", "15", "--N", "16",
@@ -363,3 +388,24 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_every_traced_name_survives(self):
+        # a traced name that is gone leaves its benchmark metrics null, so
+        # each (label, module, attribute) of the tracer must still resolve
+        # after the CLI's own import
+        root = Path(klbessel.__file__).parents[2]
+        code = (
+            "import json, sys, klbessel.cli\n"
+            f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+            "from tracer import TARGETS\n"
+            "gone = [label for label, module, attr in TARGETS\n"
+            "        if not callable(getattr(sys.modules.get(module), attr, None))]\n"
+            "print(json.dumps([len(TARGETS), gone]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, gone = json.loads(proc.stdout)
+        assert count >= 20 and gone == []
