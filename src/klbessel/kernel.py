@@ -177,14 +177,15 @@ def _row_sums(f, rows, h, k, dtype):
 def _trapezoid(f, width, n0, cfg, dtype):
     """Folded whole-line trapezoid rule for an even f, f(0) = 1, on [0, width[r]].
 
-    Row r starts at n0[r] intervals; rows not yet accepted by
-    `refinement_verdict` (roundoff scale h sum|f|) get midpoints added, at
-    most ``max_refinements`` times.  Returns ``(value, err)``: NaN where
-    refused or not converged, and each row's last error estimate.
+    Row r starts at n0[r] intervals (n0[r] = 0: value 0, error 0, no nodes);
+    rows not yet accepted by `refinement_verdict` (roundoff scale h sum|f|)
+    get midpoints added, at most ``max_refinements`` times.  Returns
+    ``(value, err)``: NaN where refused or not converged, and each row's
+    last error estimate.
     """
-    value = np.full(width.shape, np.nan, dtype)
-    err = np.full(width.shape, np.inf)
-    for n in np.unique(n0):
+    value = np.where(n0 == 0, 0.0, np.nan).astype(dtype)
+    err = np.where(n0 == 0, 0.0, np.inf)
+    for n in np.unique(n0[n0 > 0]):
         rows = np.flatnonzero(n0 == n)
         h = width[rows] / n
         total, mass = _row_sums(f, rows, h, np.arange(1.0, n + 1.0), dtype)
@@ -233,7 +234,11 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
     about as 1/sqrt(n), and identities that divide by |K| near its zeros
     see that, so smaller starts stay.  `refinement_verdict` alone accepts a
     level.  Taking e^{-c} out keeps the integral near unit size, so no
-    tolerance is met by an integral that has simply underflowed.
+    tolerance is met by an integral that has simply underflowed.  As
+    |F(u)| <= e^{|mu| u} and the folded weights total below 2 u_max, a row
+    with log(2 u_max) + |mu| u_max - c - tau theta below log 2^{-1075}, half
+    the least subnormal, gets value 0 and error estimate 0 with no nodes:
+    its value rounds to zero (never inside the contract, where tau <= 50).
     Accuracy is contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100; x and
     tau must be finite and positive (else `ValueError`).  Returns
     ``(values, achieved)``: values (real when mu = 0), NaN where the
@@ -252,6 +257,7 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
         args = (a[big] for a in (x, tau, theta, c, u_max, log_k0))
         need[big] = np.fmin(need[big], _poisson_count(*args, mu=mu, cfg=cfg))
     n0 = 2 ** np.ceil(np.log2(np.maximum(16.0, need))).astype(int)
+    n0[np.log(2.0 * u_max) + abs(mu) * u_max - c - tau * theta < -1075.0 * math.log(2.0)] = 0
 
     def f(r, u):
         phi = tau[r, None] * u - s[r, None] * np.sinh(u)
@@ -338,28 +344,42 @@ def _gamma_over_scale(tau):
     return 1.0 / math.sqrt(-math.expm1(-2.0 * math.pi * tau))
 
 
-def _entire_g(w, N):
-    """G(w) = I_{N+1}(sqrt w) / (sqrt w)^{N+1}, an entire function of w >= 0.
+def _horner(coeffs, t):
+    """`np.polyval`(coeffs, t) for an array t, in place: K steps of y *= t; y += c."""
+    y = np.full(t.shape, coeffs[0])
+    for c in coeffs[1:]:
+        y *= t
+        y += c
+    return y
 
-    Series: sum_k w^k / (4^k k! Gamma(k+N+2) 2^{N+1}); positive terms,
-    super-geometric decay.
 
-    Raises `AccuracyError` if the sum overflows or has not converged within
-    400 terms (both happen for sqrt(w) of a few hundred).
+def _entire_g(w_max, N):
+    """G(w) = I_{N+1}(sqrt w) / (sqrt w)^{N+1}, entire, on 0 <= w <= w_max, as
+    ``(coeffs, scale, G(w_max))`` with G(w) = `_horner`(coeffs, w / scale).
+
+    Series (DLMF 10.25.2): sum_k w^k / (4^k k! Gamma(k+N+2) 2^{N+1}), its
+    k-th coefficient taken at the scale, the largest power of two up to
+    w_max (so w / scale is exact and no coefficient that matters underflows).
+    The terms are positive and term K over the sum of terms 0..K,
+    1 / sum_{k<=K} (c_k / c_K) w^{k-K}, increases with w: the first K that
+    meets the cut "term <= 1e-18 sum" at w_max meets it at every w <= w_max.
+
+    Raises `AccuracyError` if the sum overflows at w_max or has not
+    converged within 400 terms (both happen for sqrt(w_max) of a few hundred).
     """
-    w = np.asarray(w, dtype=float)
-    term = np.full(w.shape, math.exp(-_sp.gammaln(N + 2.0) - (N + 1) * math.log(2.0)))
-    total = term.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, 400):
-            term = term * w / (4.0 * k * (k + N + 1))
-            total += term
-            if np.all(term <= 1e-18 * total):
-                break
-    # an overflowed sum stops the loop too (inf <= inf)
-    if not (np.all(np.isfinite(total)) and np.all(term <= 1e-18 * total)):
-        raise AccuracyError("entire-part series overflowed or did not terminate")
-    return total
+    scale = 0.5 * math.ldexp(1.0, math.frexp(w_max)[1])
+    coeffs = [math.ldexp(1.0 / math.factorial(N + 1), -(N + 1))]
+    term = total = coeffs[0]
+    for k in range(1, 400):
+        coeffs.append(coeffs[-1] * scale / (4.0 * k * (k + N + 1)))
+        term = term * w_max / (4.0 * k * (k + N + 1))
+        total += term
+        if term <= 1e-18 * total:
+            # an overflowed sum stops the loop too (inf <= inf)
+            if math.isfinite(total):
+                return coeffs[::-1], scale, total
+            break
+    raise AccuracyError("entire-part series overflowed or did not terminate")
 
 
 def _remainder_integral(x, tau, N, cfg):
@@ -383,27 +403,42 @@ def _remainder_integral(x, tau, N, cfg):
     their oscillation (N = 0 at x = 18, tau = 10).  G increases, so
     |T_N| <= |x^{2N+2} / (2^N (1-i tau)_N)| G(x^2) / (2N+2); below machine
     epsilon, the bracket's own rounding, T_N is 0 with no quadrature (its
-    prefactor may underflow there).  Raises `AccuracyError` where
-    `_entire_g` does (x beyond a few hundred) or the integral fails.
+    prefactor may underflow there).
+
+    The panel sums' roundoff floor is about 8 eps (2/pi) int E, with
+    E(v) = e^{-(2N+2) v} G(x^2 (1 - e^{-2v})) the envelope.  Where that
+    floor, int E bounded below by e^{-(2N+2) b} G(x^2 (1 - e^{-2a})) on 32
+    pieces [a, b] of [0, v_max], exceeds the tolerance 1000-fold, the
+    integral cancels past recovery and `AccuracyError` is raised before any
+    quadrature, ``achieved`` being that floor on the natural scale; the
+    bound int E <= G(x^2)/(2N+2) skips the check where it cannot fire.
+    Raises it too where `_entire_g` does or the integral fails.
     """
     from .special import pochhammer
 
-    g_far = float(_entire_g(np.array([x * x]), N)[0])
+    coeffs, scale, g_far = _entire_g(x * x, N)
+
+    def g(v):
+        """G(x^2 (1 - e^{-2v})) on an array v."""
+        return _horner(coeffs, x * x * (1.0 - np.exp(-2.0 * v)) / scale)
+
     log_bound = (2 * N + 2) * math.log(x) - N * math.log(2.0) + math.log(g_far / (2 * N + 2))
     if log_bound - sum(math.log(math.hypot(k, tau)) for k in range(1, N + 1)) < math.log(_EPS):
         return 0j
     budget = math.log(1.0 / cfg.truncation_threshold)
     v_max = (budget + max(0.0, math.log(g_far))) / (2.0 * N + 2.0)
-    edges = phase_edges(lambda v: 2.0 * tau * v, 0.0, v_max)
-
-    def f(v):
-        return np.exp((-(2.0 * N + 2.0) + 2j * tau) * v) * _entire_g(
-            x * x * (1.0 - np.exp(-2.0 * v)), N
-        )
-
     prefactor = x ** (2 * N + 2) / (2.0 ** N * pochhammer(1.0 - 1j * tau, N))
     need = _KEYFORMULA_BUDGET / (_gamma_over_scale(tau) * abs(prefactor))
-    integral = integrate(f, edges, replace(cfg, abs_tol=need))
+    floor = 16.0 / math.pi * _EPS  # per unit of int E
+    if floor * g_far / (2 * N + 2) > 1e3 * need:
+        a = np.linspace(0.0, v_max, 33)
+        floor *= float(np.sum(np.diff(a) * np.exp(-(2.0 * N + 2.0) * a[1:]) * g(a[:-1])))
+        if floor > 1e3 * need:
+            raise AccuracyError("remainder integral cancels below its roundoff floor",
+                                achieved=floor / need * _KEYFORMULA_BUDGET)
+    edges = phase_edges(lambda v: 2.0 * tau * v, 0.0, v_max)
+    integral = integrate(lambda v: np.exp((-(2.0 * N + 2.0) + 2j * tau) * v) * g(v),
+                         edges, replace(cfg, abs_tol=need))
     return prefactor * complex(integral)
 
 

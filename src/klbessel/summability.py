@@ -260,6 +260,9 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
     overflow float64 on their own well inside the domain); eps = 0 is
     allowed since the gamma decay e^{-pi tau} always wins over the cosh
     growth for a < pi/2.
+    Panels: 0.5 wide on [0, min(tmax, 8)] for the unit-scale structure of
+    the gamma pair near 0, plus one per nat of the steepest decay rate
+    2 eps tmax + pi/2 - a on [0, tmax], at least 24.
     """
     _check_sa(s, a)
     if eps < 0.0:
@@ -281,7 +284,8 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
         return out
 
     tmax = _tau_cut(s, a, eps, psi1, psi2, -math.log(cfg.truncation_threshold))
-    edges = np.linspace(0.0, tmax, max(24, int(2.0 * tmax)) + 1)
+    per_nat = max(24, int((2.0 * eps * tmax + 0.5 * math.pi - a) * tmax))
+    edges = np.union1d(np.arange(0.0, min(tmax, 8.0), 0.5), np.linspace(0.0, tmax, per_nat + 1))
     value = integrate(f, edges, cfg)
     prefactor = 2.0 ** (-s) * math.sqrt(math.pi) / math.gamma(s + 0.5)
     return float(prefactor * value)

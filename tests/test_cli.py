@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import klbessel
@@ -167,6 +168,23 @@ class TestEval:
             _, rows = parse_csv(out)
             assert math.isfinite(float(rows[0][4]))
         assert len(recwarn) == 0
+
+    def test_method_sweep_prints_a_value_or_one_error_line(self, capsys):
+        # seeded log-uniform points far beyond every contract; the oracle
+        # takes the key formula at N = 4 as its error estimate
+        rng = np.random.default_rng(2026)
+        xs = np.exp(rng.uniform(math.log(1e-40), math.log(1e3), 40))
+        taus = np.exp(rng.uniform(math.log(1e-12), 3.5 * math.log(10.0), 40))
+        for x, tau in zip(xs, taus):
+            for method in ("oracle", "keyformula", "defseries"):
+                argv = ("eval", "--x", repr(float(x)), "--tau", repr(float(tau)), "--method", method)
+                code, out, err = run(capsys, *argv)
+                if code == 0:
+                    _, rows = parse_csv(out)
+                    assert err == "" and math.isfinite(float(rows[0][4])), argv
+                else:
+                    assert code in (2, 3) and out == "", argv
+                    assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 class TestCertify:

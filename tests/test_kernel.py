@@ -1,5 +1,7 @@
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,28 +296,28 @@ def test_index_raising_sweep(cfg):
     assert residual.max() <= 1e-10
 
 
-def test_evaluators_are_finite_or_refuse_on_seeded_fuzz(cfg):
-    # log-uniform far beyond every contract: each call returns a finite
-    # number or raises a contract exception, never anything else; the
-    # oracle is called directly only up to tau = 400, beyond which its
-    # value underflows and a point costs up to 2 s of trapezoid nodes
-    # (remainder_measured refuses there)
-    rng = np.random.default_rng(1717)
-    n = 300
+def _fuzz_draw(seed, n=300):
+    """Log-uniform points far beyond every contract, with a depth N each."""
+    rng = np.random.default_rng(seed)
     xs = np.exp(rng.uniform(math.log(1e-40), math.log(1e3), n))
     taus = np.exp(rng.uniform(math.log(1e-12), 3.5 * math.log(10.0), n))
-    for x, tau, N in zip(xs, taus, rng.integers(0, 21, n)):
-        p, N = EvaluationPoint(float(x), float(tau)), int(N)
+    return [(EvaluationPoint(float(x), float(tau)), int(N))
+            for x, tau, N in zip(xs, taus, rng.integers(0, 21, n))]
+
+
+def test_evaluators_are_finite_or_refuse_on_seeded_fuzz(cfg):
+    # each call returns a finite number or raises a contract exception,
+    # never anything else; the oracle's value rounds to zero with no nodes
+    # where its bound is below the least subnormal (tau of a few hundred up)
+    for p, N in _fuzz_draw(1717):
         calls = [lambda: k_itau_keyformula(p, N, cfg), lambda: remainder_explicit(p, N, cfg),
-                 lambda: remainder_measured(p, N, cfg)]
-        if tau <= 400.0:
-            calls.append(lambda: k_itau_oracle(p, cfg))
+                 lambda: remainder_measured(p, N, cfg), lambda: k_itau_oracle(p, cfg)]
         for call in calls:
             try:
                 value = call()
             except (ValueError, AccuracyError):
                 continue
-            assert math.isfinite(value), (x, tau, N)
+            assert math.isfinite(value), (p, N)
 
 
 def test_complex_order_reduces_to_real_kernel(cfg):
@@ -368,6 +370,90 @@ def test_truncation_depth_sweep(cfg):
             worst_remainder = max(worst_remainder, abs(explicit - remainder_measured(p, N, cfg)))
     assert worst_kernel <= 1e-8
     assert worst_remainder <= 1e-8
+
+
+def _running_g(w, N):
+    """G(w) = I_{N+1}(sqrt w) / (sqrt w)^{N+1} by its running-term series, each
+    node to its own 1e-18 cut, in extended precision (80-bit on x86-64)."""
+    w = np.asarray(w, dtype=np.longdouble)
+    term = np.full(w.shape, np.longdouble(1) / (np.longdouble(2) ** (N + 1) * math.factorial(N + 1)))
+    total = term.copy()
+    for k in range(1, 400):
+        term = term * w / (4 * k * (k + N + 1))
+        total += term
+        if np.all(term <= 1e-18 * total):
+            return total
+    raise AssertionError("series did not converge")
+
+
+@pytest.mark.parametrize("w_max", [1e-6, 1.0, 100.0, 1e4])
+def test_entire_g_by_horner_matches_the_running_series(w_max):
+    rng = np.random.default_rng(18)
+    for N in range(21):
+        w = np.append(rng.uniform(0.0, w_max, 1000), w_max)
+        coeffs, scale, g_max = kernel._entire_g(w_max, N)
+        got = kernel._horner(coeffs, w / scale)
+        want = _running_g(w, N)
+        assert np.max(np.abs(got - want) / want) <= 2e-15, (w_max, N)
+        assert abs(g_max - want[-1]) <= 2e-15 * want[-1]
+        # the length fixed at w_max meets the cut at every smaller w
+        assert np.all(coeffs[0] * (w / scale) ** (len(coeffs) - 1) <= 1e-18 * got)
+
+
+def test_ill_conditioned_remainder_refuses_before_quadrature(cfg, panel_nodes):
+    # the remainder integral cancels below its roundoff floor by a factor
+    # of about 1e37 here; the full quadrature took 5.5 s to refuse
+    p = EvaluationPoint(199.4737033116583, 2770.0524604895263)
+    for evaluator in (k_itau_keyformula, remainder_explicit):
+        with pytest.raises(AccuracyError) as exc:
+            evaluator(p, 11, cfg)
+        assert exc.value.achieved > 1e-8
+    assert panel_nodes == []
+
+
+def test_remainder_quadrature_work_stays_bounded_on_seeded_fuzz(cfg, panel_nodes):
+    for p, N in _fuzz_draw(1717):
+        for evaluator in (k_itau_keyformula, remainder_explicit):
+            panel_nodes.clear()
+            try:
+                evaluator(p, N, cfg)
+            except (ValueError, AccuracyError):
+                pass
+            assert sum(panel_nodes) <= 2_000_000, (p, N, evaluator.__name__)
+
+
+def _perfbench_inputs():
+    path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_remainder_refusal_spares_the_benchmark_inputs(cfg, monkeypatch):
+    # the key formula's points of the paper checks at seeds 0-19, 32
+    # repetitions each (a 40 s run makes about 25), and the explicit
+    # remainder's fixed grid: the refusal before the quadrature never fires
+    inputs = _perfbench_inputs()
+    points = {(x, tau, N) for x in (0.25, 1.0, 5.0) for tau in (1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
+              for N in (1, 2, 3)}
+    for seed in range(20):
+        for rep in range(32):
+            points |= {(x, tau, N) for x, tau in inputs.paper_inputs(seed, rep)["cross"]
+                       for N in (0, 2, 4)}
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(kernel, "phase_edges", reached)
+    for x, tau, N in points:
+        try:
+            kernel._remainder_integral(x, tau, N, cfg)  # T_N = 0 where it is below eps
+        except Reached:
+            pass
 
 
 @pytest.mark.parametrize("x", [30.0, 100.0])

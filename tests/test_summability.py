@@ -270,6 +270,15 @@ class TestTauIntegralRhs:
         assert qc == pytest.approx(closed_cosh(s, a), rel=1e-8)
         assert qs == pytest.approx(closed_sinh(s, a), rel=1e-8)
 
+    def test_panels_follow_the_decay(self, cfg, panel_nodes):
+        # 0.5-wide panels on [0, 8] and one per nat of the steepest decay
+        # beyond; two panels per unit of tau took 207,408 nodes here
+        for s in (0.5, 1.0, 1.5):
+            for a in (0.0, 0.3, 0.7, 1.2):
+                for psi1, psi2 in ((PSI_ONE, PSI_ZERO), (PSI_ZERO, PSI_ONE)):
+                    tau_integral_rhs(s, a, 0.0, psi1, psi2, cfg)
+        assert sum(panel_nodes) <= 120_000, sum(panel_nodes)
+
     def test_gaussian_damping_continuity(self, cfg):
         v0 = tau_integral_rhs(1.0, 0.3, 0.0, PSI_ONE, PSI_ZERO, cfg)
         v2 = tau_integral_rhs(1.0, 0.3, 1e-2, PSI_ONE, PSI_ZERO, cfg)
