@@ -11,7 +11,8 @@ The submodules split by concern:
 ``quadrature``
     adaptive Gauss-Legendre integration with an explicit accuracy contract
 ``special``
-    gamma-family and Bessel helpers shared by the rest of the package
+    K_0 by quadrature (the tests' independent reference) and an
+    overflow-free log sinh; every other special function is scipy's
 ``kernel``
     the kernel evaluators (contour oracle, key formula, definitional series)
 ``bounds``
@@ -24,8 +25,8 @@ The submodules split by concern:
     the ``klbessel`` command-line front-end, also ``python -m klbessel``;
     import it as ``klbessel.cli``, the package does not load it
 
-Both ``asymptotic`` and ``summability`` provide a ``report_to_json``; use
-the qualified names for those.
+The modules return dataclasses, and the CLI writes them out; its JSON
+documents all come from one writer.
 """
 
 from . import asymptotic, bounds, kernel, quadrature, special, summability
@@ -45,8 +46,6 @@ from .bounds import (
     BoundDescriptor,
     all_default_descriptors,
     catalog_ids,
-    catalog_to_json,
-    certificate_to_json,
     certify_bound,
     default_descriptor,
     default_grid,
@@ -105,8 +104,7 @@ __all__ = [
     "BoundDescriptor", "BoundCertificate", "catalog_ids", "make_descriptor",
     "default_descriptor", "all_default_descriptors", "evaluate_bound",
     "certify_bound", "kernel_grid_values", "default_grid",
-    "verify_representation", "catalog_to_json", "certificate_to_json",
-    "olenko_c", "measure_c",
+    "verify_representation", "olenko_c", "measure_c",
     # asymptotic
     "ExpansionReport", "phase", "leading_term", "stirling_r_gamma",
     "stirling_r_integral", "remainder_measured", "remainder_explicit",

@@ -16,17 +16,15 @@ bound.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
-from .kernel import _KEYFORMULA_BUDGET, EvaluationPoint, _remainder_integral, _series_tail
+from .kernel import _KEYFORMULA_BUDGET, EvaluationPoint, _series_and_remainder
 from .kernel import k_itau_oracle, natural_scale
 from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, phase_edges
-from .special import bessel_i
 
 __all__ = [
     "ExpansionReport",
@@ -38,7 +36,6 @@ __all__ = [
     "remainder_explicit",
     "remainder_bound",
     "expansion_report",
-    "report_to_json",
     "report_csv_header",
     "report_csv_row",
 ]
@@ -166,13 +163,14 @@ def remainder_explicit(p, N, cfg=DEFAULT_CONFIG):
     Re[ e^{i phase} ( r + (1 + r)(S_N + T_N) ) ] where r is the Stirling
     remainder, S_N the N-term correction series and T_N the entire-function
     integral term; S_N and T_N are shared with the series evaluator of the
-    kernel, the identity behind both.
+    kernel, the identity behind both, and so is its refusal: `AccuracyError`
+    where the bracket's roundoff floor exceeds the budget 1e-8 of the
+    natural scale.
     """
     if not 0 <= N <= 20:
         raise ValueError("N must lie in [0, 20]")
     r = stirling_r_gamma(p.tau)
-    s_n = _series_tail(p.x, p.tau, N)
-    t_n = _remainder_integral(p.x, p.tau, N, cfg)
+    s_n, t_n = _series_and_remainder(p.x, p.tau, N, cfg)
     return (cmath.exp(1j * phase(p)) * (r + (1.0 + r) * (s_n + t_n))).real
 
 
@@ -186,7 +184,9 @@ def remainder_bound(tau, tau0, X, N):
 
     For N = 0 the series convention behind the bracket is empty and only
     the exponential term is kept; reports therefore check N = 0 runs
-    against the N = 1 bound.
+    against the N = 1 bound.  ValueError names X and tau0 where the bound
+    is not a finite number (X^2/tau0 of a few thousand, or I_N(X) past
+    float range from X of about 700).
     """
     if not tau0 > 0.0:
         raise ValueError("tau0 must be positive")
@@ -197,12 +197,18 @@ def remainder_bound(tau, tau0, X, N):
     if N < 0:
         raise ValueError("N must be non-negative")
     a = math.exp(1.0 / (6.0 * tau0)) / 6.0
-    bracket = math.exp(X * X / (4.0 * tau0))
-    if N >= 1:
-        bracket += (X * X / (2.0 * tau0)) ** N * (
-            bessel_i(float(N), X) / X**N - 1.0 / (2.0**N * math.factorial(N))
-        )
-    return (a + (tau0 + a) * bracket) / tau
+    try:
+        bracket = math.exp(X * X / (4.0 * tau0))
+        if N >= 1:
+            bracket += (X * X / (2.0 * tau0)) ** N * (
+                float(_sp.iv(N, X)) / X**N - 1.0 / (2.0**N * math.factorial(N))
+            )
+        bound = (a + (tau0 + a) * bracket) / tau
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"the remainder bound is not finite at X={X!r}, tau0={tau0!r}")
+    return bound
 
 
 def expansion_report(p, N, tau0, X, cfg=DEFAULT_CONFIG):
@@ -238,24 +244,6 @@ def expansion_report(p, N, tau0, X, cfg=DEFAULT_CONFIG):
         remainder_bound=bound,
         within_bound=abs(measured) <= bound * (1.0 + 1e-9),
     )
-
-
-def report_to_json(report):
-    """One report as a JSON document."""
-    doc = {
-        "x": report.point.x,
-        "tau": report.point.tau,
-        "N": report.N,
-        "tau0": report.tau0,
-        "X": report.X,
-        "leading": report.leading,
-        "k_value": report.k_value,
-        "remainder_measured": report.remainder_measured,
-        "remainder_explicit": report.remainder_explicit,
-        "remainder_bound": report.remainder_bound,
-        "within_bound": report.within_bound,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def report_csv_header():

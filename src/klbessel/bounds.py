@@ -10,7 +10,6 @@ verifiers confirm the integral identities the bounds are derived from.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ from .quadrature import (
     panel_sums,
     phase_edges,
 )
-from .special import log_abs_gamma, log_sinh
+from .special import log_sinh
 
 __all__ = [
     "LANDAU_B",
@@ -44,8 +43,6 @@ __all__ = [
     "kernel_grid_values",
     "default_grid",
     "verify_representation",
-    "catalog_to_json",
-    "certificate_to_json",
 ]
 
 LANDAU_B = 0.674885
@@ -214,7 +211,7 @@ def _log_bound_family_17(params, x, tau):
         + _lg(0.5 * (nu + 1.5))
         + _lg(0.5 * (nu - 2.0 * mu + 0.5))
         - _lg(nu - mu + 1.0)
-        + log_abs_gamma(complex(nu - mu + 1.0, tau))
+        + float(_sp.loggamma(complex(nu - mu + 1.0, tau)).real)
         + (mu - nu - 0.5) * math.log(x)
     )
 
@@ -224,7 +221,7 @@ def _log_bound_half_range_18(params, x, tau):
     return (
         _lg(nu + 0.5)
         - _lg(nu + 1.0)
-        + log_abs_gamma(complex(nu + 1.0, tau))
+        + float(_sp.loggamma(complex(nu + 1.0, tau)).real)
         - (nu + 0.5) * math.log(x)
     )
 
@@ -244,7 +241,7 @@ def _log_bound_delta_111(params, x, tau):
         _lg(delta)
         - delta * math.log(x)
         - _lg(delta + 0.5)
-        + log_abs_gamma(complex(0.5 + delta, tau))
+        + float(_sp.loggamma(complex(0.5 + delta, tau)).real)
     )
 
 
@@ -271,7 +268,7 @@ def _log_bound_k1_115(params, x, tau):
         + _lg(0.5 * (nu + 1.5))
         + _lg(0.5 * (nu - 1.5))
         - _lg(nu)
-        + log_abs_gamma(complex(nu, tau))
+        + float(_sp.loggamma(complex(nu, tau)).real)
         + (0.5 - nu) * math.log(x)
     )
 
@@ -285,7 +282,7 @@ def _log_bound_via_116_117(params, x, tau):
         + _lg(0.5 * (nu - 1.5))
         - math.log(tau)
         - _lg(nu)
-        + log_abs_gamma(complex(nu, tau))
+        + float(_sp.loggamma(complex(nu, tau)).real)
         + (1.5 - nu) * math.log(x)
     )
 
@@ -300,7 +297,7 @@ def _log_bound_delta_118(params, x, tau):
         + _lg(0.5 * delta)
         - math.log(tau)
         - _lg(nu)
-        + log_abs_gamma(complex(nu, tau))
+        + float(_sp.loggamma(complex(nu, tau)).real)
         - delta * math.log(x)
     )
 
@@ -543,7 +540,7 @@ def make_descriptor(bound_id, **params):
     """Build a validated BoundDescriptor for one catalog entry.
 
     Unspecified parameters take the entry's defaults; unknown parameter
-    names and domain violations raise ValueError.
+    names, values that are not finite and domain violations raise ValueError.
     """
     try:
         entry = _CATALOG[bound_id]
@@ -554,6 +551,8 @@ def make_descriptor(bound_id, **params):
         raise ValueError(f"{bound_id} does not take parameters {sorted(unknown)}")
     merged = dict(entry.defaults)
     merged.update(params)
+    if not all(math.isfinite(v) for v in merged.values()):
+        raise ValueError(f"{bound_id} parameters must be finite, got {merged}")
     merged = entry.validate(merged)
     return BoundDescriptor(
         id=bound_id,
@@ -634,9 +633,11 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
     Returns
     -------
     BoundCertificate
-        ``passed`` holds iff the worst ratio is <= 1 + RATIO_SLACK; points
-        whose kernel evaluation failed its accuracy contract are listed as
-        indeterminate and excluded from the ratio.
+        ``passed`` holds iff the worst ratio is <= 1 + RATIO_SLACK and no
+        point is indeterminate.  A point is indeterminate, and excluded
+        from the ratio, where its kernel evaluation failed its accuracy
+        contract or its bound leaves float range (underflows to 0 or
+        overflows).
     """
     grid = tuple(grid)
     if kernel_values is None:
@@ -646,10 +647,14 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
     worst = -1.0
     worst_point = grid[0]
     for p, kv in zip(grid, kernel_values):
-        if kv is None:
+        try:
+            bound = evaluate_bound(d, p)
+        except OverflowError:
+            bound = math.inf
+        if kv is None or not 0.0 < bound < math.inf:
             indeterminate.append(p)
             continue
-        ratio = _extract_part(kv, d.kernel_part) / evaluate_bound(d, p)
+        ratio = _extract_part(kv, d.kernel_part) / bound
         ratios.append(ratio)
         if ratio > worst:
             worst = ratio
@@ -793,39 +798,3 @@ def verify_representation(rep_id, p, cfg=DEFAULT_CONFIG, **params):
     if rep_id == "EQ_1_6":
         return _verify_eq_1_6(p, cfg, **params)
     raise ValueError(f"unknown representation {rep_id!r}; choose from {_REPRESENTATIONS}")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def _descriptor_record(d):
-    return {
-        "id": d.id,
-        "label": d.label,
-        "params": dict(d.params),
-        "order_mu": d.order_mu,
-        "kernel_part": d.kernel_part,
-        "validity": d.validity,
-    }
-
-
-def catalog_to_json(descriptors=None):
-    """JSON document describing the catalog (default parameters unless given)."""
-    if descriptors is None:
-        descriptors = all_default_descriptors()
-    doc = {"bounds": [_descriptor_record(d) for d in descriptors]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def certificate_to_json(cert):
-    """JSON document for one certificate: grid, ratios, worst point, verdict."""
-    doc = {
-        "descriptor": _descriptor_record(cert.descriptor),
-        "grid": [{"x": p.x, "tau": p.tau} for p in cert.grid],
-        "ratios": list(cert.ratios),
-        "max_ratio": cert.max_ratio,
-        "worst_point": {"x": cert.worst_point.x, "tau": cert.worst_point.tau},
-        "pass": cert.passed,
-        "indeterminate": [{"x": p.x, "tau": p.tau} for p in cert.indeterminate],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -16,7 +16,8 @@ serialized with sorted keys and two-space indentation, so re-serializing
 a parsed document reproduces it byte for byte.
 
 Exit codes: 0 success, 1 a reported check failed, 2 usage or domain
-error, 3 a quadrature accuracy contract could not be met.
+error (OverflowError, a value leaving float range, included), 3 a
+quadrature accuracy contract could not be met.
 """
 
 import argparse
@@ -24,7 +25,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import asymptotic, bounds, summability
 from .kernel import (
@@ -120,7 +121,52 @@ def _csv_text(header, rows):
 
 
 def _json_text(doc):
+    """The one JSON writer: sorted keys, two-space indent, trailing newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _point_record(p):
+    return {"x": p.x, "tau": p.tau}
+
+
+def _descriptor_record(d):
+    return dict(asdict(d), params=dict(d.params))
+
+
+def _certificate_record(c):
+    return {
+        "descriptor": _descriptor_record(c.descriptor),
+        "grid": [_point_record(p) for p in c.grid],
+        "ratios": list(c.ratios),
+        "max_ratio": c.max_ratio,
+        "worst_point": _point_record(c.worst_point),
+        "pass": c.passed,
+        "indeterminate": [_point_record(p) for p in c.indeterminate],
+    }
+
+
+def _expansion_record(r):
+    doc = asdict(r)
+    doc.update(doc.pop("point"))
+    return doc
+
+
+def _summability_record(r):
+    q = r.query
+    return {
+        "x": q.x,
+        "a": q.a,
+        "s": q.mellin_s,
+        "psi1_coeffs": list(q.psi1.even_coeffs),
+        "psi1_type": q.psi1.exp_type,
+        "psi2_coeffs": list(q.psi2.even_coeffs),
+        "psi2_type": q.psi2.exp_type,
+        "epsilon_schedule": list(q.epsilon_schedule),
+        "pairing_values": list(r.pairing_values),
+        "target": r.target,
+        "errors": list(r.errors),
+        "converged": r.converged,
+    }
 
 
 def _emit(text, rc):
@@ -191,12 +237,8 @@ def _cmd_certify(args, rc):
         certs.append(bounds.certify_bound(
             d, grid, cfg, kernel_values=kernel_cache[d.order_mu]))
     if rc.output_format == "json":
-        if len(certs) == 1:
-            _emit(bounds.certificate_to_json(certs[0]), rc)
-        else:
-            doc = {"certificates": [
-                json.loads(bounds.certificate_to_json(c)) for c in certs]}
-            _emit(_json_text(doc), rc)
+        docs = [_certificate_record(c) for c in certs]
+        _emit(_json_text(docs[0] if len(docs) == 1 else {"certificates": docs}), rc)
     else:
         rows = []
         for c in certs:
@@ -226,9 +268,7 @@ def _cmd_asympt(args, rc):
         for tau in rc.tau_axis()
     ]
     if rc.output_format == "json":
-        doc = {"reports": [
-            json.loads(asymptotic.report_to_json(r)) for r in reports]}
-        _emit(_json_text(doc), rc)
+        _emit(_json_text({"reports": [_expansion_record(r) for r in reports]}), rc)
     else:
         _emit(_csv_text(
             asymptotic.report_csv_header(),
@@ -299,7 +339,7 @@ def _cmd_summ(args, rc):
     )
     report = summability.theorem3_check(query, cfg)
     if rc.output_format == "json":
-        _emit(summability.report_to_json(report), rc)
+        _emit(_json_text(_summability_record(report)), rc)
     else:
         rows = [
             [repr(eps), repr(value), repr(report.target), repr(err)]
@@ -313,7 +353,7 @@ def _cmd_summ(args, rc):
 def _cmd_catalog(args, rc):
     descriptors = bounds.all_default_descriptors()
     if rc.output_format == "json":
-        _emit(bounds.catalog_to_json(descriptors), rc)
+        _emit(_json_text({"bounds": [_descriptor_record(d) for d in descriptors]}), rc)
     else:
         rows = [[
             d.id, d.label,
@@ -485,6 +525,9 @@ def main(argv=None):
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value leaves float range: {exc}", file=sys.stderr)
         return 2
 
 

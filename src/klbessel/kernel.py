@@ -414,8 +414,6 @@ def _remainder_integral(x, tau, N, cfg):
     bound int E <= G(x^2)/(2N+2) skips the check where it cannot fire.
     Raises it too where `_entire_g` does or the integral fails.
     """
-    from .special import pochhammer
-
     coeffs, scale, g_far = _entire_g(x * x, N)
 
     def g(v):
@@ -427,7 +425,8 @@ def _remainder_integral(x, tau, N, cfg):
         return 0j
     budget = math.log(1.0 / cfg.truncation_threshold)
     v_max = (budget + max(0.0, math.log(g_far))) / (2.0 * N + 2.0)
-    prefactor = x ** (2 * N + 2) / (2.0 ** N * pochhammer(1.0 - 1j * tau, N))
+    rising = math.prod((1 - 1j * tau + k for k in range(N)), start=complex(1.0))  # (1 - i tau)_N
+    prefactor = x ** (2 * N + 2) / (2.0 ** N * rising)
     need = _KEYFORMULA_BUDGET / (_gamma_over_scale(tau) * abs(prefactor))
     floor = 16.0 / math.pi * _EPS  # per unit of int E
     if floor * g_far / (2 * N + 2) > 1e3 * need:
@@ -440,6 +439,22 @@ def _remainder_integral(x, tau, N, cfg):
     integral = integrate(lambda v: np.exp((-(2.0 * N + 2.0) + 2j * tau) * v) * g(v),
                          edges, replace(cfg, abs_tol=need))
     return prefactor * complex(integral)
+
+
+def _series_and_remainder(x, tau, N, cfg):
+    """S_N and T_N of the key formula's bracket 1 + S_N + T_N.
+
+    Read against the natural scale, the bracket carries a roundoff floor
+    of eps |Gamma(i tau)| (1 + |S_N| + |T_N|) / natural_scale(tau); where
+    that exceeds the cross-method budget 1e-8, `AccuracyError` is raised
+    with the floor as ``achieved``, as it is by `_remainder_integral`.
+    """
+    series = _series_tail(x, tau, N)
+    remainder = _remainder_integral(x, tau, N, cfg)
+    floor = _EPS * _gamma_over_scale(tau) * (1.0 + abs(series) + abs(remainder))
+    if floor > _KEYFORMULA_BUDGET:
+        raise AccuracyError("key formula cancels below its roundoff floor", achieved=floor)
+    return series, remainder
 
 
 def k_itau_keyformula(p, N, cfg=DEFAULT_CONFIG):
@@ -475,14 +490,9 @@ def k_itau_keyformula(p, N, cfg=DEFAULT_CONFIG):
     """
     if N < 0 or N != int(N) or N > 20:
         raise ValueError("N must be an integer in [0, 20]")
-    N = int(N)
     x, tau = p.x, p.tau
-    series = _series_tail(x, tau, N)
-    remainder = _remainder_integral(x, tau, N, cfg)
+    series, remainder = _series_and_remainder(x, tau, int(N), cfg)
     prefactor = cmath.exp(_sp.loggamma(1j * tau) - 1j * tau * math.log(0.5 * x))
-    floor = _EPS * _gamma_over_scale(tau) * (1.0 + abs(series) + abs(remainder))
-    if floor > _KEYFORMULA_BUDGET:
-        raise AccuracyError("key formula cancels below its roundoff floor", achieved=floor)
     return (prefactor * (1.0 + series + remainder)).real
 
 

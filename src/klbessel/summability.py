@@ -24,7 +24,6 @@ type, carried as finite Taylor data.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,6 @@ from scipy import special as _sp
 from .asymptotic import stirling_r_gamma
 from .kernel import _bracket_series, _checked_contour, _defseries_scaled, _smallx_values
 from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, panel_sums, phase_edges
-from .special import complex_log_gamma
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -58,12 +56,12 @@ __all__ = [
     "theorem3_target",
     "theorem2_check",
     "theorem3_check",
-    "report_to_json",
 ]
 
 DEFAULT_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(np.finfo(float).max)
 _DERIV_CAP = 60
 
 
@@ -232,6 +230,13 @@ def _log_sinh_arr(y):
     return y - _LN2 + np.log1p(-np.exp(-2.0 * y))
 
 
+def _exp_in_range(logs, cap):
+    """e^logs for an array; OverflowError where an element exceeds e^cap."""
+    if np.max(logs) > cap:
+        raise OverflowError("the tau integrand leaves float range")
+    return np.exp(logs)
+
+
 def _psi_growth(psi1, psi2, tau):
     return math.log1p(psi1.abs_envelope(tau) + tau * psi2.abs_envelope(tau))
 
@@ -259,7 +264,9 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
     Each node is assembled in log space (cosh and the gamma pair both
     overflow float64 on their own well inside the domain); eps = 0 is
     allowed since the gamma decay e^{-pi tau} always wins over the cosh
-    growth for a < pi/2.
+    growth for a < pi/2.  The integrand itself, before the prefactor, grows
+    like Gamma(s)^2: where it, times the span of tau, leaves float range
+    (from s of about 92 at a = 0, 73 at a = 1.4), OverflowError is raised.
     Panels: 0.5 wide on [0, min(tmax, 8)] for the unit-scale structure of
     the gamma pair near 0, plus one per nat of the steepest decay rate
     2 eps tmax + pi/2 - a on [0, tmax], at least 24.
@@ -278,12 +285,13 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
         base = -eps * t * t + 2.0 * np.real(_sp.loggamma(s + 1j * t))
         out = np.zeros_like(t)
         if use1:
-            out = out + psi1(t) * np.exp(base + _log_cosh_arr(c * t))
+            out = out + psi1(t) * _exp_in_range(base + _log_cosh_arr(c * t), cap)
         if use2:
-            out = out + psi2(t) * t * np.exp(base + _log_sinh_arr(c * t))
+            out = out + psi2(t) * t * _exp_in_range(base + _log_sinh_arr(c * t), cap)
         return out
 
     tmax = _tau_cut(s, a, eps, psi1, psi2, -math.log(cfg.truncation_threshold))
+    cap = _LOG_MAX - math.log1p(tmax)  # so that the panel sums over [0, tmax] stay finite
     per_nat = max(24, int((2.0 * eps * tmax + 0.5 * math.pi - a) * tmax))
     edges = np.union1d(np.arange(0.0, min(tmax, 8.0), 0.5), np.linspace(0.0, tmax, per_nat + 1))
     value = integrate(f, edges, cfg)
@@ -397,15 +405,22 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 # Mellin pairings and identities
 
-def mellin_pair(g, s, cfg=DEFAULT_CONFIG):
+def mellin_pair(g, s, cfg=DEFAULT_CONFIG, width=1.0):
     """int_0^inf e^{-x} g(x) x^{s-1} dx for an array-valued g.
 
     ``g`` is called once per node array, as `integrate` calls its
     integrand, and must return an array of the same shape or a scalar,
-    which is broadcast.  Evaluated on the log axis x = e^w; the upper end
-    marches outward in unit panels until a panel is negligible, so
-    integrands whose decay rate e^{-(1-sin a)x} is much slower than e^{-x}
-    are still covered.  Where g leaves float range (an OverflowError or a
+    which is broadcast.  Evaluated on the log axis x = e^w, from
+    w = (log(truncation_threshold) - 5)/s, where x^s is negligible, to
+    w = log(budget + 5 s) + 1/2, where e^{-x} is, in panels at most
+    ``width`` wide (at least 8 panels); an oscillating g needs a width of
+    a fraction of its period in log x.  The upper end then marches outward
+    in panels of that width until a panel is negligible against the sum of
+    the panels before it, so integrands whose decay rate e^{-(1-sin a)x} is
+    much slower than e^{-x} are still covered.  That sum is formed only if
+    the first outward panel is not already below the truncation threshold
+    alone, so an integrand that needs no march costs one panel more than
+    its quadrature.  Where g leaves float range (an OverflowError or a
     value that is not finite) the march ends.
     """
     if not s > 0.0:
@@ -423,26 +438,30 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG):
 
     w_lo = (math.log(cfg.truncation_threshold) - 5.0) / s
     w_hi = math.log(budget + 5.0 * s) + 0.5
-    n = max(8, int(math.ceil(w_hi - w_lo)))
+    n = max(8, int(math.ceil((w_hi - w_lo) / width)))
     edges = list(np.linspace(w_lo, w_hi, n + 1))
-    total = float(np.sum(panel_sums(f, np.array(edges))))
+    total = None
     for _ in range(100):
         try:
-            panel = float(panel_sums(f, np.array(edges[-1:] + [edges[-1] + 1.0]))[0])
+            panel = float(panel_sums(f, np.array(edges[-1:] + [edges[-1] + width]))[0])
         except OverflowError:
             # g itself left float range; by the integrability contract the
             # true tail out there is negligible against e^{-x}
             break
+        if abs(panel) <= cfg.truncation_threshold:
+            break
+        if total is None:
+            total = float(np.sum(panel_sums(f, np.array(edges))))
         if abs(panel) <= cfg.truncation_threshold * (abs(total) + 1.0):
             break
-        edges.append(edges[-1] + 1.0)
+        edges.append(edges[-1] + width)
         total += panel
     return float(integrate(f, np.array(edges), cfg))
 
 
 def _gamma_pair(s, tau):
     """Gamma(s + i tau) Gamma(s - i tau) = |Gamma(s + i tau)|^2 for real s."""
-    return math.exp(2.0 * complex_log_gamma(complex(s, tau)).real)
+    return math.exp(2.0 * _sp.loggamma(complex(s, tau)).real)
 
 
 def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
@@ -451,30 +470,23 @@ def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
     int_0^inf e^{-x} K_{i tau}(x) x^{s-1} dx
         = 2^{-s} sqrt(pi) Gamma(s+i tau) Gamma(s-i tau) / Gamma(s+1/2).
 
-    The left side is quadrature over the log axis with panels sized to a
-    quarter of the kernel's log-axis oscillation period; the right side
-    is closed-form gamma arithmetic.  Each node array takes the kernel
-    from two array calls: the small-x series at x <= 0.05 and
-    `contour_values` above.
+    The left side is `mellin_pair` of the kernel with panels a quarter of
+    the kernel's log-axis oscillation period wide; the right side is
+    closed-form gamma arithmetic.  Each node array takes the kernel from
+    two array calls: the small-x series at x <= 0.05 and `contour_values`
+    above.
     """
     if not s > 0.0 or not tau > 0.0:
         raise ValueError("s and tau must be positive")
 
-    def f(w):
-        w = np.asarray(w, dtype=float)
-        xs = np.exp(w)
+    def kernel(xs):
         small = xs <= 0.05
         vals = np.empty(xs.shape)
         vals[small] = _smallx_values(xs[small], tau)
         vals[~small] = _checked_contour(xs[~small], tau, 0.0, cfg)
-        return vals * np.exp(s * w - xs)
+        return vals
 
-    budget = -math.log(cfg.truncation_threshold)
-    w_lo = (math.log(cfg.truncation_threshold) - 5.0) / s
-    w_hi = math.log(budget + 5.0 * s) + 0.5
-    width = min(1.0, 0.5 * math.pi / (tau + 1.0))
-    n = max(8, int(math.ceil((w_hi - w_lo) / width)))
-    lhs = integrate(f, np.linspace(w_lo, w_hi, n + 1), cfg)
+    lhs = mellin_pair(kernel, s, cfg, width=min(1.0, 0.5 * math.pi / (tau + 1.0)))
     rhs = 2.0 ** (-s) * math.sqrt(math.pi) * _gamma_pair(s, tau) / math.gamma(s + 0.5)
     return float(abs(lhs - rhs) / abs(rhs))
 
@@ -491,7 +503,7 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
     if not s > 0.0 or not tau > 0.0:
         raise ValueError("s and tau must be positive")
     w_cut = math.log(0.01)
-    c0 = np.exp(complex_log_gamma(2j * tau) + 2j * tau * _LN2)
+    c0 = np.exp(_sp.loggamma(2j * tau) + 2j * tau * _LN2)
     pole1 = complex(2.0 * s, -2.0 * tau)
     pole2 = complex(2.0 * s + 2.0, -2.0 * tau)
     analytic = (c0 * np.exp(pole1 * w_cut) / pole1).real
@@ -669,23 +681,3 @@ def theorem2_check(q, cfg=DEFAULT_CONFIG):
     if any(c != 0.0 for c in q.psi1.even_coeffs[1:]) or not q.psi2.is_zero:
         raise ValueError("theorem2_check requires constant psi1 and zero psi2")
     return theorem3_check(q, cfg)
-
-
-def report_to_json(report):
-    """SummabilityReport as a JSON document."""
-    q = report.query
-    doc = {
-        "x": q.x,
-        "a": q.a,
-        "s": q.mellin_s,
-        "psi1_coeffs": list(q.psi1.even_coeffs),
-        "psi1_type": q.psi1.exp_type,
-        "psi2_coeffs": list(q.psi2.even_coeffs),
-        "psi2_type": q.psi2.exp_type,
-        "epsilon_schedule": list(q.epsilon_schedule),
-        "pairing_values": list(report.pairing_values),
-        "target": report.target,
-        "errors": list(report.errors),
-        "converged": report.converged,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

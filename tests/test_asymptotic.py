@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from klbessel.asymptotic import (
     remainder_measured,
     report_csv_header,
     report_csv_row,
-    report_to_json,
     stirling_r_gamma,
     stirling_r_integral,
 )
@@ -172,6 +170,22 @@ def test_remainder_bound_domain():
         remainder_bound(1.0, 1.0, 5.0, -1)
 
 
+def test_remainder_bound_refuses_where_not_finite():
+    # I_1(900) leaves float range; so does e^{X^2/(4 tau0)} at X = 2000
+    for tau, tau0, X, N in ((400.0, 400.0, 900.0, 1), (1.0, 1.0, 2000.0, 1), (1.0, 1.0, 2000.0, 0)):
+        with pytest.raises(ValueError, match=f"X={X!r}, tau0={tau0!r}"):
+            remainder_bound(tau, tau0, X, N)
+
+
+def test_explicit_refuses_below_its_roundoff_floor(cfg):
+    # at tiny tau the bracket 1 + S_N + T_N cancels past the 1e-8 budget
+    for x, tau, N, floor in ((14.637066639721958, 2.317550220143447e-11, 1, 4.4e-6),
+                             (20.07875218296006, 2.159e-7, 12, 9.0e-6)):
+        with pytest.raises(AccuracyError) as exc:
+            remainder_explicit(EvaluationPoint(x, tau), N, cfg)
+        assert exc.value.achieved == pytest.approx(floor, rel=0.05)
+
+
 def test_expansion_report_verdicts(cfg):
     assert expansion_report(EvaluationPoint(1.0, 5.0), 1, 1.0, 5.0, cfg).within_bound
     assert expansion_report(EvaluationPoint(5.0, 40.0), 3, 1.0, 5.0, cfg).within_bound
@@ -206,10 +220,6 @@ def test_expansion_report_domain(cfg):
 
 def test_report_serialization(cfg):
     rep = expansion_report(EvaluationPoint(1.0, 5.0), 1, 1.0, 5.0, cfg)
-    doc = json.loads(report_to_json(rep))
-    assert doc["within_bound"] is True
-    assert doc["x"] == 1.0 and doc["N"] == 1
-    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == report_to_json(rep)
     header, row = report_csv_header(), report_csv_row(rep)
     assert len(header) == len(row)
     assert row[header.index("pass")] == "true"

@@ -222,7 +222,8 @@ class TestCertify:
         doc = json.loads(out)
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out
         assert doc["pass"] is True
-        assert len(doc["grid"]) == 4
+        assert len(doc["grid"]) == 4 and len(doc["ratios"]) == 4
+        assert doc["descriptor"]["params"] == {} and doc["indeterminate"] == []
 
 
 class TestAsympt:
@@ -247,6 +248,9 @@ class TestAsympt:
         doc = json.loads(out)
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out
         assert len(doc["reports"]) == 2
+        first = doc["reports"][0]
+        assert first["within_bound"] is True
+        assert first["x"] == 1.0 and first["tau"] == 1.0 and first["N"] == 1
 
     def test_point_outside_domain(self, capsys):
         code, _, _ = run(capsys, "asympt", "--x", "7.0", "--tau-count", "2")
@@ -339,6 +343,8 @@ class TestSumm:
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out
         assert doc["converged"] is True
         assert len(doc["pairing_values"]) == 5
+        assert doc["errors"] == [abs(p - doc["target"]) for p in doc["pairing_values"]]
+        assert doc["s"] == 1.0 and doc["psi1_coeffs"] == [1.0] and doc["psi2_coeffs"] == []
 
     def test_tilted_run(self, capsys):
         code, out, _ = run(capsys, "summ", "--a", "0.5")
@@ -365,6 +371,9 @@ class TestCatalog:
         doc = json.loads(out)
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out
         assert len(doc["bounds"]) == 17
+        by_id = {rec["id"]: rec for rec in doc["bounds"]}
+        assert by_id["LEBEDEV_15"]["label"] == "1.5"
+        assert by_id["FAMILY_17"]["params"] == {"nu": 0.3, "mu": 0.1}
 
 
 class TestOutputAndEnvironment:
@@ -384,6 +393,86 @@ class TestOutputAndEnvironment:
         assert code == 2
         assert out == ""
         assert "--workers" in err
+
+
+# argv lists that once ended in a traceback, a ZeroDivisionError, a
+# silent pass with no ratio, or a minute of overflow warnings and exit 3
+PROBES = (
+    ("summ", "--s", "400"),
+    ("summ", "--s", "121.3", "--a", "0.7"),
+    ("certify", "--id", "COMPOSITE_126", "--M", "200", "--N", "200"),
+    ("certify", "--id", "ITER_130", "--n", "2000"),
+    ("asympt", "--X", "2000"),
+    ("certify", "--all", "--tau-min", "500", "--tau-max", "600", "--x-count", "2",
+     "--tau-count", "2"),
+    ("certify", "--id", "FAMILY_17", "--nu", "1000", "--mu", "0"),
+    ("certify", "--id", "OLENKO_19", "--nu", "inf"),
+    ("certify", "--id", "DELTA_118", "--delta", "inf"),
+    ("certify", "--id", "K1_115", "--nu", "inf"),
+    ("asympt", "--x", "1", "--X", "900", "--tau0", "400", "--tau-min", "400",
+     "--tau-max", "400", "--tau-count", "1"),
+)
+PROBE_EXITS = (2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2)
+
+
+def _sweep_argvs(rng, count):
+    """``count`` argv lists over every subcommand, numeric flags log-uniform."""
+    def lu(lo, hi):
+        return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    def flags(**values):
+        return [s for k, v in values.items() for s in (f"--{k.replace('_', '-')}", repr(v))]
+
+    def grid():
+        x_min, tau_min = lu(1e-40, 1e3), lu(1e-12, 1e3)
+        return flags(x_min=x_min, x_max=x_min * lu(1.0, 1e6), tau_min=tau_min,
+                     tau_max=tau_min * lu(1.0, 1e3), x_count=int(rng.integers(1, 3)),
+                     tau_count=int(rng.integers(1, 3)))
+
+    def certify():
+        if rng.random() < 0.2:
+            return ["--all", *grid()]
+        bound_id = str(rng.choice(klbessel.catalog_ids()))
+        names = [k for k, _ in klbessel.default_descriptor(bound_id).params]
+        values = {k: int(rng.integers(1, 3000)) if k in ("M", "N", "n") else lu(1e-4, 1e4)
+                  for k in names}
+        return ["--id", bound_id, *flags(**values), *grid()]
+
+    def asympt():
+        # mostly inside x <= X and tau0 <= tau, where the reports are made
+        x, tau0 = lu(1e-6, 1e2), lu(1e-3, 1e3)
+        return flags(x=x, X=x * lu(0.5, 1e3), tau0=tau0, tau_min=tau0 * lu(0.5, 10.0),
+                     tau_max=lu(1e-3, 1e3), N=int(rng.integers(0, 22)),
+                     tau_count=int(rng.integers(1, 3)))
+
+    make = {
+        "eval": lambda: flags(x=lu(1e-40, 1e3), tau=lu(1e-12, 3e3), N=int(rng.integers(0, 23)))
+        + ["--method", str(rng.choice(["oracle", "keyformula", "defseries"]))],
+        "certify": certify,
+        "asympt": asympt,
+        "identities": lambda: flags(x=lu(1e-3, 1e2), tau=lu(1e-3, 20.0)),
+        "summ": lambda: flags(x=lu(1e-3, 1e3), a=float(rng.uniform(0.0, 1.7)), s=lu(1e-3, 1e3),
+                              b=lu(1e-3, 1.0))
+        + ["--psi1", str(rng.choice(["one", "cos", "zero"])), "--schedule", "0.1,0.01,0.001"],
+        "catalog": lambda: [],
+    }
+    return [(str(cmd), *make[cmd]()) for cmd in rng.choice(list(make), count)]
+
+
+class TestSweep:
+    def test_seeded_argvs_exit_cleanly(self, capsys):
+        # every argv ends in a contracted exit, never a traceback, and a
+        # refusal says why in exactly one error line
+        codes = []
+        for argv in list(PROBES) + _sweep_argvs(np.random.default_rng(19), 48):
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3), argv
+            if code in (2, 3):
+                assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, argv
+            else:
+                assert out and "error:" not in err, argv
+            codes.append(code)
+        assert tuple(codes[:len(PROBES)]) == PROBE_EXITS
 
 
 class TestModuleEntryPoint:

@@ -22,7 +22,7 @@ from klbessel.kernel import (
     natural_scale,
 )
 from klbessel.quadrature import AccuracyError
-from klbessel.special import bessel_k0, complex_log_gamma
+from klbessel.special import bessel_k0
 
 # Frozen reference values, computed once with 50-digit arithmetic from the
 # definitional series in the index and pinned here.
@@ -477,7 +477,7 @@ def test_keyformula_rejects_bad_order_count(cfg):
 def test_keyformula_small_x_leading_term(cfg):
     x, tau = 1e-4, 1.0
     got = k_itau_keyformula(EvaluationPoint(x, tau), 2, cfg)
-    lead = (cmath.exp(complex_log_gamma(1j * tau)) * (0.5 * x) ** (-1j * tau)).real
+    lead = (cmath.exp(special.loggamma(1j * tau)) * (0.5 * x) ** (-1j * tau)).real
     assert abs(got - lead) <= 1e-9
 
 

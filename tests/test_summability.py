@@ -1,13 +1,12 @@
 """Tests for regularized Kontorovich-Lebedev integrals and weak limits."""
 
-import json
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from klbessel import bounds, kernel, summability
+from klbessel import bounds, kernel, quadrature, summability
 from klbessel.kernel import EvaluationPoint, k_itau_oracle, k_itau_smallx
 from klbessel.quadrature import DEFAULT_CONFIG, AccuracyError
 from klbessel.special import bessel_k0
@@ -25,7 +24,6 @@ from klbessel.summability import (
     gamma_product_identity,
     mellin_k_identity,
     mellin_pair,
-    report_to_json,
     tau_integral_rhs,
     theorem2_check,
     theorem2_limit,
@@ -295,6 +293,16 @@ class TestTauIntegralRhs:
         with pytest.raises(ValueError):
             tau_integral_rhs(1.0, 0.5 * math.pi, 0.0, PSI_ONE, PSI_ZERO, cfg)
 
+    def test_overflowing_integrand_is_refused(self, cfg, panel_nodes):
+        # Gamma(s + i tau)^2 e^{(pi/2 + a) tau} passes 1e308 before the
+        # prefactor brings it back: refused on the first node array, where
+        # it used to run every refinement on inf and NaN panel sums
+        assert math.isfinite(tau_integral_rhs(84.0, 0.7, 1e-3, PSI_ONE, PSI_ZERO, cfg))
+        panel_nodes.clear()
+        with pytest.raises(OverflowError):
+            tau_integral_rhs(121.3, 0.7, 1e-3, PSI_ONE, PSI_ZERO, cfg)
+        assert len(panel_nodes) == 1
+
 
 # ---------------------------------------------------------------------------
 # Mellin pairings
@@ -340,6 +348,16 @@ class TestMellinKIdentity:
         assert mellin_k_identity(0.5, 1e-6, cfg) <= 1e-7
         direct = mellin_pair(np.vectorize(lambda x: bessel_k0(x, cfg)), 0.5, cfg)
         assert direct == pytest.approx(MELLIN_K0_HALF, rel=1e-8)
+
+    def test_tail_test_adds_one_panel_and_no_base_pass(self, cfg, panel_nodes, monkeypatch):
+        # the outward panel alone is below the truncation threshold, so the
+        # march never sums the base panels that the quadrature sums again
+        # count mellin_pair's own panel sums too, not only integrate's
+        monkeypatch.setattr(summability, "panel_sums", quadrature.panel_sums)
+        mellin_k_identity(1.0, 2.0, cfg)
+        first, levels = panel_nodes[0], panel_nodes[1:]
+        assert first == 16 and levels[0] == 1552
+        assert levels == [levels[0] << k for k in range(len(levels))]
 
     def test_domain(self, cfg):
         with pytest.raises(ValueError):
@@ -543,15 +561,6 @@ class TestScheduleChecks:
         )
         assert abs(limit - indep) / abs(indep) <= 1e-6
 
-    def test_report_json_round_trip(self, cfg):
-        q = SummabilityQuery(epsilon_schedule=(1e-1, 1e-2, 1e-3))
-        rep = theorem2_check(q, cfg)
-        text = report_to_json(rep)
-        doc = json.loads(text)
-        assert doc["converged"] == rep.converged
-        assert doc["errors"] == list(rep.errors)
-        assert doc["target"] == rep.target
-        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
 # ---------------------------------------------------------------------------
