@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
-from klbessel import quadrature
+from klbessel import cli, quadrature
 from klbessel.bounds import (
     RATIO_SLACK,
     all_default_descriptors,
@@ -321,3 +322,23 @@ def test_representation_validation():
         verify_representation("EQ_1_6", POINT_1_1, nu=-1.5)
 
 
+def test_catalog_json_round_trip():
+    # the catalog record as the CLI's one JSON writer emits it
+    text = cli._json_text({"bounds": [cli._descriptor_record(d) for d in all_default_descriptors()]})
+    doc = json.loads(text)
+    assert len(doc["bounds"]) == 17
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+    by_id = {rec["id"]: rec for rec in doc["bounds"]}
+    assert by_id["LEBEDEV_15"]["label"] == "1.5"
+    assert by_id["FAMILY_17"]["params"] == {"nu": 0.3, "mu": 0.1}
+
+
+def test_certificate_json_round_trip(small_grid, kernel_cache):
+    cert = certify_bound(
+        default_descriptor("MODIFIED_110"), small_grid, kernel_values=kernel_cache[0.0]
+    )
+    text = cli._json_text(cli._certificate_record(cert))
+    doc = json.loads(text)
+    assert doc["pass"] is True
+    assert len(doc["ratios"]) == len(small_grid)
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text

@@ -1,12 +1,13 @@
 """Tests for regularized Kontorovich-Lebedev integrals and weak limits."""
 
+import json
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from klbessel import bounds, kernel, quadrature, summability
+from klbessel import bounds, cli, kernel, quadrature, summability
 from klbessel.kernel import EvaluationPoint, k_itau_oracle, k_itau_smallx
 from klbessel.quadrature import DEFAULT_CONFIG, AccuracyError
 from klbessel.special import bessel_k0
@@ -561,6 +562,16 @@ class TestScheduleChecks:
         )
         assert abs(limit - indep) / abs(indep) <= 1e-6
 
+    def test_report_json_round_trip(self, cfg):
+        # the report record as the CLI's one JSON writer emits it
+        q = SummabilityQuery(epsilon_schedule=(1e-1, 1e-2, 1e-3))
+        rep = theorem2_check(q, cfg)
+        text = cli._json_text(cli._summability_record(rep))
+        doc = json.loads(text)
+        assert doc["converged"] == rep.converged
+        assert doc["errors"] == list(rep.errors)
+        assert doc["target"] == rep.target
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
 # ---------------------------------------------------------------------------
