@@ -184,8 +184,8 @@ class BoundCertificate:
 
     descriptor: BoundDescriptor
     grid: tuple
-    max_ratio: float
-    worst_point: EvaluationPoint
+    max_ratio: float | None
+    worst_point: EvaluationPoint | None
     passed: bool
     ratios: tuple = field(default=(), repr=False)
     indeterminate: tuple = ()
@@ -605,7 +605,8 @@ def kernel_grid_values(grid, order_mu, cfg=DEFAULT_CONFIG):
     scalar oracle's bit for bit, None where the accuracy contract failed.
     """
     values, _ = contour_values([p.x for p in grid], [p.tau for p in grid], order_mu, cfg)
-    return tuple(None if np.isnan(v) else complex(v) for v in values)
+    failed = np.isnan(values).tolist()
+    return tuple(None if bad else complex(v) for v, bad in zip(values.tolist(), failed))
 
 
 def _extract_part(value, part):
@@ -637,15 +638,23 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
         point is indeterminate.  A point is indeterminate, and excluded
         from the ratio, where its kernel evaluation failed its accuracy
         contract or its bound leaves float range (underflows to 0 or
-        overflows).
+        overflows).  ``max_ratio`` and ``worst_point`` are None where every
+        point is indeterminate.
+
+    Raises `ValueError` for an empty grid, or ``kernel_values`` of another
+    length than the grid.
     """
     grid = tuple(grid)
+    if not grid:
+        raise ValueError("the certification grid is empty")
     if kernel_values is None:
         kernel_values = kernel_grid_values(grid, d.order_mu, cfg)
+    if len(kernel_values) != len(grid):
+        raise ValueError(f"{len(kernel_values)} kernel values for a grid of {len(grid)} points")
     ratios = []
     indeterminate = []
-    worst = -1.0
-    worst_point = grid[0]
+    worst = None
+    worst_point = None
     for p, kv in zip(grid, kernel_values):
         try:
             bound = evaluate_bound(d, p)
@@ -656,7 +665,7 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
             continue
         ratio = _extract_part(kv, d.kernel_part) / bound
         ratios.append(ratio)
-        if ratio > worst:
+        if worst is None or ratio > worst:
             worst = ratio
             worst_point = p
     return BoundCertificate(
@@ -664,7 +673,7 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
         grid=grid,
         max_ratio=worst,
         worst_point=worst_point,
-        passed=worst <= 1.0 + RATIO_SLACK and not indeterminate,
+        passed=not indeterminate and worst <= 1.0 + RATIO_SLACK,
         ratios=tuple(ratios),
         indeterminate=tuple(indeterminate),
     )

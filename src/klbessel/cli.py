@@ -139,7 +139,7 @@ def _certificate_record(c):
         "grid": [_point_record(p) for p in c.grid],
         "ratios": list(c.ratios),
         "max_ratio": c.max_ratio,
-        "worst_point": _point_record(c.worst_point),
+        "worst_point": None if c.worst_point is None else _point_record(c.worst_point),
         "pass": c.passed,
         "indeterminate": [_point_record(p) for p in c.indeterminate],
     }
@@ -243,11 +243,12 @@ def _cmd_certify(args, rc):
         rows = []
         for c in certs:
             d = c.descriptor
+            worst = ("", "", "") if c.worst_point is None else (
+                repr(c.max_ratio), repr(c.worst_point.x), repr(c.worst_point.tau))
             rows.append([
                 d.id, d.label,
                 ";".join(f"{k}={v!r}" for k, v in d.params),
-                repr(c.max_ratio),
-                repr(c.worst_point.x), repr(c.worst_point.tau),
+                *worst,
                 str(len(c.indeterminate)),
                 str(c.passed).lower(),
             ])
@@ -428,6 +429,7 @@ def build_parser():
         help="certify catalog bounds over a grid",
         epilog="CSV schema: id,label,params,max_ratio,worst_x,worst_tau,"
                "indeterminate,passed\n"
+               "max_ratio, worst_x and worst_tau are empty where every point is indeterminate.\n"
                "Exit code 1 if any certificate fails.")
     which = p_cert.add_mutually_exclusive_group(required=True)
     which.add_argument("--id", help="catalog identifier")

@@ -100,7 +100,7 @@ def _first(mask, start):
     return np.where(mask.any(axis=1), start + np.argmax(mask, axis=1), _ANGLES.size)
 
 
-def _contour_angles(x, tau):
+def _angle_search(x, tau):
     """Per point, the first of 512 grid angles t within 3 nats of the grid
     minimum of g(t) = -tau t + log K_0(x cos t), the integrand magnitude on
     the contour rotated by t.  Cancellation there is at most e^3 times
@@ -137,6 +137,28 @@ def _contour_angles(x, tau):
         g_cell = _log_k0(xr, j) - tr * _ANGLES[j]
         theta[r] = _ANGLES[np.minimum(_first(g_near <= within, near), _first(g_cell <= within, cell))]
     return theta, log_k0
+
+
+# The last point set `_contour_angles` searched: ((x bytes, tau bytes), angles).
+_last_angles = (None, None)
+
+
+def _contour_angles(x, tau):
+    """`_angle_search` on raveled float64 arrays, with a one-entry memo.
+
+    The certification grid is searched once for all its orders.  The memo
+    is read once and replaced whole, so under threads a caller never pairs
+    its key with another caller's angles; the returned arrays are read-only.
+    """
+    global _last_angles
+    key = (x.tobytes(), tau.tobytes())
+    last_key, angles = _last_angles
+    if last_key != key:
+        angles = _angle_search(x, tau)
+        for a in angles:
+            a.flags.writeable = False
+        _last_angles = (key, angles)
+    return angles
 
 
 def _cosh_cut(c, drift, budget):
@@ -213,6 +235,12 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
         K_{mu+i tau}(x) = e^{-c - tau theta + i mu theta}
             int_0^inf e^{-c (cosh u - 1)} cos(phi(u) - i mu u) du.
 
+    The angles depend on (x, tau) alone, and `_contour_angles` keeps the
+    last point set's, so the orders of one grid share one search.  At
+    mu != 0 the integrand is taken in real arithmetic, cos(phi - i mu u) =
+    cos(phi) cosh(mu u) + i sin(phi) sinh(mu u), each part times the
+    damping e^{-c (cosh u - 1)}; a negative mu gives the conjugate bit for bit.
+
     The integrand F is entire, even and doubly-exponentially decaying, so
     the trapezoid rule converges geometrically and a halving reuses the old
     nodes.  A point starts at one node per period of the phase rate
@@ -261,10 +289,14 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
 
     def f(r, u):
         phi = tau[r, None] * u - s[r, None] * np.sinh(u)
-        if mu != 0.0:
-            # cos(phi - i mu u) = cosh(mu u) cos phi + i sinh(mu u) sin phi
-            phi = phi - 1j * mu * u
-        return np.exp(-c[r, None] * (np.cosh(u) - 1.0)) * np.cos(phi)
+        damp = np.exp(-c[r, None] * (np.cosh(u) - 1.0))
+        if mu == 0.0:
+            return damp * np.cos(phi)
+        # cos(phi - i mu u) = cosh(mu u) cos phi + i sinh(mu u) sin phi
+        out = np.empty(u.shape, complex)
+        out.real = damp * np.cosh(mu * u) * np.cos(phi)
+        out.imag = damp * np.sinh(mu * u) * np.sin(phi)
+        return out
 
     integral, achieved = _trapezoid(f, u_max, n0, cfg, float if mu == 0.0 else complex)
     phase = 1j * mu * theta if mu != 0.0 else 0.0

@@ -272,9 +272,26 @@ def test_certificate_flags_indeterminate_points(small_grid, kernel_cache):
     wide = make_descriptor("FAMILY_17", nu=1000.0, mu=0.0)
     cert = certify_bound(wide, small_grid, kernel_values=kernel_cache[0.0])
     assert not cert.passed and cert.indeterminate == small_grid and cert.ratios == ()
+    # no point measured: no ratio and no worst point, not a sentinel
+    assert cert.max_ratio is None and cert.worst_point is None
     far = default_grid(2, 2, 0.01, 100.0, 500.0, 600.0)
     cert = certify_bound(d, far)
     assert not cert.passed and cert.indeterminate == far
+
+
+def test_certify_rejects_kernel_values_not_matching_the_grid():
+    d = default_descriptor("LEBEDEV_15")
+    grid = default_grid(5, 5)
+    kv = kernel_grid_values(grid, 0.0)
+    with pytest.raises(ValueError, match="3 kernel values for a grid of 25"):
+        certify_bound(d, grid, kernel_values=kv[:3])
+    with pytest.raises(ValueError, match="26 kernel values"):
+        certify_bound(d, grid, kernel_values=kv + kv[:1])
+
+
+def test_certify_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="empty"):
+        certify_bound(default_descriptor("LEBEDEV_15"), ())
 
 
 @pytest.mark.parametrize("mu", sorted({d.order_mu for d in all_default_descriptors()}))

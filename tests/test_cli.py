@@ -225,6 +225,20 @@ class TestCertify:
         assert len(doc["grid"]) == 4 and len(doc["ratios"]) == 4
         assert doc["descriptor"]["params"] == {} and doc["indeterminate"] == []
 
+    def test_no_measured_point_prints_no_ratio(self, capsys):
+        # FAMILY_17's bound overflows at nu = 1000 on the whole grid
+        argv = ("certify", "--id", "FAMILY_17", "--nu", "1000", "--mu", "0",
+                "--x-count", "2", "--tau-count", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        _, rows = parse_csv(out)
+        assert rows == [["FAMILY_17", "1.7", "nu=1000.0;mu=0.0", "", "", "", "4", "false"]]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["max_ratio"] is None and doc["worst_point"] is None
+        assert doc["ratios"] == [] and len(doc["indeterminate"]) == 4 and doc["pass"] is False
+
 
 class TestAsympt:
     def test_reports_over_tau_axis(self, capsys):

@@ -1,6 +1,8 @@
 import cmath
 import importlib.util
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +215,82 @@ def test_contour_values_at_catalog_corners_match_full_scan(cfg, mu, monkeypatch)
     want = contour_values(*CATALOG_CORNERS, mu, cfg)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mu", sorted({key[0] for key in CONTOUR_REFERENCE} - {0.0}))
+def test_negative_order_gives_the_conjugate_bit_for_bit(cfg, mu):
+    # K_{-mu + i tau}(x) = conj K_{mu + i tau}(x) for real x: the integrand's
+    # sinh(mu u) and the phase e^{i mu theta} are odd in mu, all else even
+    keys = [key for key in CONTOUR_REFERENCE if key[0] == mu]
+    xs, taus = [key[1] for key in keys], [key[2] for key in keys]
+    values, achieved = contour_values(xs, taus, mu, cfg)
+    mirrored, mirrored_achieved = contour_values(xs, taus, -mu, cfg)
+    assert mirrored.tobytes() == np.conj(values).tobytes()
+    assert mirrored_achieved.tobytes() == achieved.tobytes()
+
+
+def _counting_angle_search(monkeypatch):
+    """Sizes of the point sets `kernel._angle_search` runs on, appended as
+    the test runs; the memo starts empty."""
+    sizes = []
+    search = kernel._angle_search
+
+    def counting(x, tau):
+        sizes.append(x.size)
+        return search(x, tau)
+
+    monkeypatch.setattr(kernel, "_angle_search", counting)
+    monkeypatch.setattr(kernel, "_last_angles", (None, None))
+    return sizes
+
+
+def test_angle_search_runs_once_per_point_set(cfg, monkeypatch):
+    sizes = _counting_angle_search(monkeypatch)
+    x, tau = (a.ravel() for a in np.meshgrid(np.geomspace(0.01, 100.0, 25),
+                                             np.geomspace(0.1, 40.0, 25)))
+    orders = (0.0, 0.1, 0.25, 0.5, 1.0)
+    warm = [contour_values(x, tau, mu, cfg) for mu in orders]
+    assert sizes == [625]
+    theta, rows = kernel._contour_angles(x, tau)
+    assert not theta.flags.writeable and not rows.flags.writeable
+    for mu, got in zip(orders, warm):
+        monkeypatch.setattr(kernel, "_last_angles", (None, None))
+        assert _same(got, contour_values(x, tau, mu, cfg)), mu
+    sizes.clear()
+    moved = x.copy()
+    moved[17] = np.nextafter(moved[17], np.inf)
+    contour_values(moved, tau, 0.5, cfg)
+    contour_values(moved, tau, 1.0, cfg)
+    assert sizes == [625]
+
+
+def test_angle_memo_never_pairs_one_point_set_with_anothers_angles(monkeypatch):
+    # threads alternate two point sets of different sizes through the
+    # one-entry memo; a lost race may search again, never mix key and angles
+    point_sets = [(np.array([0.5, 2.0, 9.0]), np.array([1.0, 3.0, 0.2])),
+                  (np.geomspace(0.01, 100.0, 5), np.geomspace(40.0, 0.1, 5))]
+    want = [kernel._angle_search(x, tau) for x, tau in point_sets]
+    monkeypatch.setattr(kernel, "_last_angles", (None, None))
+    bad = []
+
+    def work(start):
+        for i in range(start, start + 60):
+            got = kernel._contour_angles(*point_sets[i % 2])
+            if not _same(got, want[i % 2]):
+                bad.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def _start_levels(x, tau, mu, cfg, monkeypatch, poisson=True):

@@ -8,12 +8,20 @@ in JSON, plus probes at the edges of the domains (parameters that overflow,
 bounds that underflow, values that are not finite).  For each argv it
 compares the stdout bytes, the exit code and the first line of stderr, and
 prints every argv that differs with both sides' exit code and first stderr
-line.  Exits 1 if any argv differs, 0 otherwise.  Standard library only.
+line.  Where stdout differs, it says whether only the numbers in it differ
+and, if so, gives the largest relative difference |a - b| / max(|a|, |b|)
+between numbers at the same position, so that a last-digit move reads apart
+from a real change.  Exits 1 if any argv differs, 0 otherwise.  Standard
+library only.
 """
 
+import math
 import os
+import re
 import subprocess
 import sys
+
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 SMALL = ("--x-count", "3", "--tau-count", "3")
 COMMANDS = (
@@ -62,6 +70,22 @@ def outcome(proc):
     return out, proc.returncode, first
 
 
+def number_diff(a, b):
+    """How two stdouts differ: "text differs" if they differ outside their
+    numbers, else the numbers only, with the largest relative difference."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return "text differs"
+    worst = (0.0, b"", b"")
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        u, v = float(x), float(y)
+        diff = abs(u - v)
+        rel = 0.0 if u == v else math.inf if math.isinf(diff) else diff / max(abs(u), abs(v))
+        worst = max(worst, (rel, x, y))
+    rel, x, y = worst
+    return (f"numbers only, largest relative difference {rel:.2e}"
+            f" ({x.decode()} -> {y.decode()})")
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2 or not all(os.path.isdir(os.path.join(d, "src", "klbessel")) for d in args):
@@ -76,6 +100,8 @@ def main(argv=None):
             differ += 1
             what = [name for name, x, y in zip(("stdout", "exit", "stderr"), a, b) if x != y]
             print(f"klbessel {' '.join(cmd)}: {', '.join(what)} differ")
+            if a[0] != b[0]:
+                print(f"  stdout: {number_diff(a[0], b[0])}")
             print(f"  parent: exit {a[1]}, {a[2]!r}")
             print(f"  change: exit {b[1]}, {b[2]!r}")
     print(f"{differ} of {len(ARGVS)} argv lists differ")
