@@ -49,6 +49,6 @@ print("Im K_{1+i}(1) recovers tau K_{i tau}(x) / x:",
       k_itau_oracle(EvaluationPoint(1.0, 1.0)))
 
 ## Near x = 0 the kernel is a cosine in log x with slowly varying amplitude
-print("\nsmall-x closed form vs oracle at x = 0.04, tau = 2:")
+print("\nsmall-x series vs oracle at x = 0.04, tau = 2:")
 print("  smallx ", k_itau_smallx(EvaluationPoint(0.04, 2.0)))
 print("  oracle ", k_itau_oracle(EvaluationPoint(0.04, 2.0)))

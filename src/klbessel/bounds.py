@@ -81,14 +81,17 @@ def _golden_max(f, a, b):
     return max(fc, fd)
 
 
-def measure_c(nu, x_max=3000.0, step_density=40):
+_STEP_DENSITY = 40  # samples per unit of x in `measure_c`'s scan
+
+
+def measure_c(nu, x_max=3000.0):
     """Numerical sup of sqrt(x)|J_nu(x)| over (0, x_max].
 
     u = sqrt(x) J_nu(x) solves u'' + (1 - (nu^2 - 1/4)/x^2) u = 0, so by
     the Sonine-Polya theorem (Watson, *A Treatise on the Theory of Bessel
     Functions*, section 15.31) the maxima of |u| do not increase for
     nu >= 1/2 and increase for nu < 1/2.  One window of (0, x_max] is
-    scanned at the spacing x_max / int(x_max * step_density):
+    scanned at the spacing x_max / int(40 x_max):
 
     - nu >= 1/2: the first maximum, between the first zeros of J_nu' and
       J_nu, in (0, min(x_max, nu + 2 nu^{1/3} + 2 pi)];
@@ -106,14 +109,12 @@ def measure_c(nu, x_max=3000.0, step_density=40):
         Order, nu >= -1/2.
     x_max : float
         Scan limit, at least 100.
-    step_density : int
-        Samples per unit of x in the scan.
     """
     if nu < -0.5:
         raise ValueError("measure_c requires nu >= -1/2")
     if x_max < 100.0:
         raise ValueError("x_max must be at least 100")
-    n = int(x_max * step_density)
+    n = int(x_max * _STEP_DENSITY)
     if nu >= 0.5:
         first = 1
         last = min(n, math.ceil((nu + 2.0 * nu ** (1.0 / 3.0) + 2.0 * math.pi) / x_max * n))

@@ -7,8 +7,11 @@ share no numerical machinery beyond the rule that accepts a refinement
 level, so pairwise agreement is a genuine cross-check.  The oracle and the
 complex-order evaluator are single points of one array evaluator,
 `contour_values`, which the package's quadratures also call once per node
-array; the definitional series is one array core returning the scaled
-value K e^{pi tau/2} and its cancellation monitor.
+array.  The definitional series is one array core, `_defseries_scaled`,
+broadcasting x against tau and returning the scaled value K e^{pi tau/2}
+with its roundoff monitors; `k_itau_defseries`, the small-x route
+`k_itau_smallx` and the summability quadratures (at large tau, where it
+is the large-order identity, too) all take it.
 """
 
 from __future__ import annotations
@@ -114,11 +117,9 @@ def _angle_search(x, tau):
     coarse angles, 33 angles around the coarse minimum and that cell's 16,
     find the angle of a scan of the whole grid at 81 `k0e` calls per point.
     Rows are taken in order of x, so a block evaluates the coarse pass once
-    per distinct x.  Returns ``(theta, rows)``: rows[i] is log K_0(x_i cos t)
-    at the 32 coarse angles, which `_poisson_count` reuses.
+    per distinct x.
     """
     theta = np.empty(x.shape)
-    log_k0 = np.empty((x.size, _COARSE.size))
     order = np.argsort(x, kind="stable")
     near_k, cell_k = np.arange(2 * _STRIDE + 1), np.arange(_STRIDE)
     rows = _BLOCK // 64  # the widest pass takes 33 angles per point
@@ -126,8 +127,7 @@ def _angle_search(x, tau):
         r = order[i:i + rows]
         xr, tr = x[r], tau[r, None]
         xs, which = np.unique(xr, return_inverse=True)
-        log_k0[r] = _log_k0(xs, _COARSE)[which]
-        coarse = log_k0[r] - tr * _ANGLES[_COARSE]
+        coarse = _log_k0(xs, _COARSE)[which] - tr * _ANGLES[_COARSE]
         near = np.clip(_STRIDE * np.argmin(coarse, axis=1) - _STRIDE, 0, _ANGLES.size - near_k.size)
         j = near[:, None] + near_k
         g_near = _log_k0(xr, j) - tr * _ANGLES[j]
@@ -136,7 +136,7 @@ def _angle_search(x, tau):
         j = cell[:, None] + cell_k
         g_cell = _log_k0(xr, j) - tr * _ANGLES[j]
         theta[r] = _ANGLES[np.minimum(_first(g_near <= within, near), _first(g_cell <= within, cell))]
-    return theta, log_k0
+    return theta
 
 
 # The last point set `_contour_angles` searched: ((x bytes, tau bytes), angles).
@@ -147,18 +147,18 @@ def _contour_angles(x, tau):
     """`_angle_search` on raveled float64 arrays, with a one-entry memo.
 
     The certification grid is searched once for all its orders.  The memo
-    is read once and replaced whole, so under threads a caller never pairs
-    its key with another caller's angles; the returned arrays are read-only.
+    holds the angles alone, 24 bytes a point with its key.  It is read once
+    and replaced whole, so under threads a caller never pairs its key with
+    another caller's angles; the returned array is read-only.
     """
     global _last_angles
     key = (x.tobytes(), tau.tobytes())
-    last_key, angles = _last_angles
+    last_key, theta = _last_angles
     if last_key != key:
-        angles = _angle_search(x, tau)
-        for a in angles:
-            a.flags.writeable = False
-        _last_angles = (key, angles)
-    return angles
+        theta = _angle_search(x, tau)
+        theta.flags.writeable = False
+        _last_angles = (key, theta)
+    return theta
 
 
 def _cosh_cut(c, drift, budget):
@@ -169,14 +169,13 @@ def _cosh_cut(c, drift, budget):
     return u + 1.0
 
 
-def _poisson_count(x, tau, theta, c, u_max, log_k0, mu, cfg):
-    """Per row, the Poisson count of `contour_values` before rounding up;
-    log_k0: the rows of `_contour_angles`, which serve at mu = 0."""
-    t, log_k = _ANGLES[_COARSE[1:]], log_k0[:, 1:]
-    if mu != 0.0:
-        xs, which = np.unique(x, return_inverse=True)
-        z = xs[:, None] * _COS[_COARSE[1:]]
-        log_k = (np.log(_sp.k1e(z) if abs(mu) == 1.0 else _sp.kve(mu, z)) - z)[which]
+def _poisson_count(x, tau, theta, c, u_max, mu, cfg):
+    """Per row, the Poisson count of `contour_values` before rounding up."""
+    t = _ANGLES[_COARSE[1:]]
+    xs, which = np.unique(x, return_inverse=True)
+    z = xs[:, None] * _COS[_COARSE[1:]]
+    k_mu = _sp.k0e(z) if mu == 0.0 else _sp.k1e(z) if abs(mu) == 1.0 else _sp.kve(mu, z)
+    log_k = (np.log(k_mu) - z)[which]
     lead = c[:, None] + log_k + math.log(32.0 / cfg.abs_tol)
     ahead = t - theta[:, None]
     first = np.divide(lead, ahead, out=np.full(lead.shape, np.inf), where=ahead > 0.0)
@@ -276,13 +275,13 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
     valid = np.isfinite(x) & (x > 0.0) & np.isfinite(tau) & (tau > 0.0)
     if not (np.all(valid) and math.isfinite(mu)):
         raise ValueError("x and tau must be finite and positive, and mu finite")
-    theta, log_k0 = _contour_angles(x, tau)
+    theta = _contour_angles(x, tau)
     c, s = x * np.cos(theta), x * np.sin(theta)
     u_max = _cosh_cut(c, abs(mu), math.log(1.0 / cfg.truncation_threshold))
     need = u_max * (tau + s * np.cosh(u_max) + abs(mu)) / (2.0 * math.pi)
     big = np.flatnonzero(need > 512.0)  # phase-rate starts of 1024 intervals and up
     if big.size:
-        args = (a[big] for a in (x, tau, theta, c, u_max, log_k0))
+        args = (a[big] for a in (x, tau, theta, c, u_max))
         need[big] = np.fmin(need[big], _poisson_count(*args, mu=mu, cfg=cfg))
     n0 = 2 ** np.ceil(np.log2(np.maximum(16.0, need))).astype(int)
     n0[np.log(2.0 * u_max) + abs(mu) * u_max - c - tau * theta < -1075.0 * math.log(2.0)] = 0
@@ -342,33 +341,6 @@ def _series_tail(x, tau, N):
         term *= q / (m * (m - itau))
         total += term
     return total
-
-
-def _bracket_series(x, tau):
-    """1 + S_inf = sum_{k>=0} (x/2)^{2k} / (k! (1 - i tau)_k), for one x and a tau array.
-
-    The key-formula bracket 1 + S_N + T_N at every N, and equal to
-    Gamma(1 - i tau) (x/2)^{i tau} I_{-i tau}(x).  Its factor in the kernel
-    has modulus about the natural scale, so its absolute error is quoted
-    against that scale.  Returns ``(bracket, monitor)``: the monitor is
-    machine epsilon times sum_k |term_k|, infinite where 400 terms did not
-    converge.
-    """
-    tau = np.asarray(tau, dtype=float)
-    itau = 1j * tau
-    q = 0.25 * x * x
-    term = np.ones(tau.shape, dtype=complex)
-    total = term.copy()
-    mass = np.ones(tau.shape)
-    for k in range(1, 401):
-        term *= q / (k * (k - itau))
-        total += term
-        mag = np.abs(term)
-        mass += mag
-        converged = mag <= 1e-18 * mass
-        if np.all(converged):
-            break
-    return total, np.where(converged, _EPS * mass, np.inf)
 
 
 def _gamma_over_scale(tau):
@@ -528,99 +500,96 @@ def k_itau_keyformula(p, N, cfg=DEFAULT_CONFIG):
     return (prefactor * (1.0 + series + remainder)).real
 
 
-def _smallx_values(x, tau):
-    """Three key-formula series terms, no remainder, for an array x <= 0.05 and one tau."""
-    prefactor = np.exp(_sp.loggamma(1j * tau) - 1j * tau * np.log(0.5 * x))
-    return (prefactor * (1.0 + _series_tail(x, tau, 3))).real
-
-
-def k_itau_smallx(p):
-    """Truncated key-formula series, no remainder integral; for x <= 0.05 only.
-
-    Three series terms leave a relative error below 1e-12 on its domain,
-    which makes it the cheap kernel route inside Mellin-transform quadratures
-    whose log-spaced nodes reach arbitrarily small x.  A one-point call of
-    the array core `_smallx_values`, which those quadratures call on whole
-    node arrays.
-    """
-    if p.x > 0.05:
-        raise ValueError("small-x series is only contracted for x <= 0.05")
-    return float(_smallx_values(np.array([p.x]), p.tau)[0])
-
-
 def _defseries_scaled(x, tau):
-    """K_{i tau}(x) e^{pi tau/2} from the definitional series, for one x and a tau array.
+    """K_{i tau}(x) e^{pi tau/2} from the definitional series, on arrays x and
+    tau broadcast against each other.
 
     Sums e^{-pi tau/2} I_{i tau}(x), with
     I_{i tau}(x) = (x/2)^{i tau} sum_k (x/2)^{2k} / (k! Gamma(k+1+i tau))
-    and the e^{-pi tau/2} folded into the first term, and assembles
+    (DLMF 10.25.2) and the e^{-pi tau/2} folded into the first term, and
+    assembles (DLMF 10.27)
 
         K_{i tau}(x) e^{pi tau/2} = -2 pi Im[e^{-pi tau/2} I_{i tau}(x)] / (1 - e^{-2 pi tau}),
 
     the scaled form of -pi Im I_{i tau}(x) / sinh(pi tau), in which no
-    factor overflows however large tau is.
+    factor overflows however large tau is.  The sum is e^{-pi tau/2} /
+    Gamma(1 + i tau) times the conjugate of the key formula's bracket
+    1 + S_inf, so at large tau this is the large-order identity.  A node
+    stops once it has converged or lost all its digits (monitor >= 1): its
+    term becomes 0, so a batched value equals a one-point call bit for bit.
 
     Returns
     -------
-    (scaled, monitor) : arrays shaped like ``tau``
+    (scaled, monitor, plain) : arrays of the broadcast shape
         ``monitor`` is machine epsilon times sum_k (k+1) |term_k| (term k
-        carries the rounding of k recurrence steps), propagated through the
-        same factors and quoted relative to the scaled natural scale
-        sqrt(2 pi / tau).  Summation stops once every node has converged or
-        lost all its digits (monitor >= 1); a node whose series did not
-        converge gets an infinite monitor.
+        carries the rounding of k recurrence steps), ``plain`` machine
+        epsilon times sum_k |term_k|, both propagated through the same
+        factors and quoted relative to the scaled natural scale
+        sqrt(2 pi / tau); infinite where the series lost all its digits or
+        did not converge within 400 terms.
     """
     tau = np.asarray(tau, dtype=float)
     itau = 1j * tau
-    term = np.exp(-_sp.loggamma(1.0 + itau) - 0.5 * math.pi * tau)
-    total = term.copy()
-    weighted = np.abs(term)
+    lead = np.exp(-_sp.loggamma(1.0 + itau) - 0.5 * math.pi * tau)
     # monitor = gain * weighted, with 2 pi / sqrt(2 pi / tau) = sqrt(2 pi tau)
     one_minus = -np.expm1(-2.0 * math.pi * tau)
     gain = _EPS * np.sqrt(2.0 * math.pi * tau) / one_minus
     lost = 1.0 / gain
+    x = np.asarray(x, dtype=float)
     q = 0.25 * x * x
-    converged = np.zeros(tau.shape, dtype=bool)
+    shape = np.broadcast_shapes(x.shape, tau.shape)
+    term = np.broadcast_to(lead, shape).copy()
+    total = term.copy()
+    weighted = np.abs(term)
+    plain = weighted.copy()
     for k in range(1, 401):
-        term *= q / (k * (k + itau))
+        # out of place and both factors named: numpy rounds an in-place
+        # complex product on one element apart, and computes term * (a
+        # temporary of 256 KiB or more) in the temporary, factors swapped
+        step = q / (k * (k + itau))
+        term = term * step
         total += term
         mag = np.abs(term)
         weighted += (k + 1) * mag
-        converged = mag <= 1e-18 * weighted
-        if np.all(converged | (weighted >= lost)):
+        plain += mag
+        stopped = (mag <= 1e-18 * weighted) | (weighted >= lost)
+        if stopped.all():
             break
-    phase = np.exp(itau * math.log(0.5 * x))
+        term[stopped] = 0.0
+    phase = np.exp(itau * np.log(0.5 * x))
     scaled = -2.0 * math.pi * (phase * total).imag / one_minus
-    monitor = np.where(converged, gain * weighted, np.inf)
-    return scaled, monitor
+    gain = np.where(stopped & (weighted < lost), gain, np.inf)
+    return scaled, gain * weighted, gain * plain
+
+
+def _defseries_values(x, tau):
+    """K_{i tau}(x) from `_defseries_scaled` on an array x at one tau;
+    `AccuracyError` (the worst monitor) where the monitor exceeds budget."""
+    scaled, monitor, _ = _defseries_scaled(x, np.array([tau]))
+    if not np.all(monitor <= _DEFSERIES_BUDGET):
+        raise AccuracyError("definitional series lost too many digits to cancellation",
+                            achieved=float(np.max(monitor)))
+    return scaled * math.exp(-0.5 * math.pi * tau)
+
+
+def k_itau_smallx(p):
+    """The definitional series on x <= 0.05, the route of Mellin quadratures
+    whose log-spaced nodes reach arbitrarily small x; as `k_itau_defseries`,
+    it raises `AccuracyError` where the cancellation monitor exceeds budget.
+    """
+    if p.x > 0.05:
+        raise ValueError("small-x series is only contracted for x <= 0.05")
+    return float(_defseries_values(np.array([p.x]), p.tau)[0])
 
 
 def k_itau_defseries(p):
-    """K_{i tau}(x) from the definitional series through I_{+-i tau}.
+    """K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau) from the definitional
+    series of I_{i tau}: a one-point call of `_defseries_scaled`.
 
-    Sums I_{i tau}(x) = (x/2)^{i tau} sum_k (x/2)^{2k} / (k! Gamma(k+1+i tau))
-    in complex arithmetic and assembles
-
-        K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau),
-
-    in the scaled form of `_defseries_scaled`, the one implementation of
-    the series.  The assembly divides a cancellation-prone imaginary part
-    by sinh(pi tau), so the running cancellation monitor of that core
-    guards the result; the contracted domain x <= 10, tau <= 10 keeps it
-    far below budget.
-
-    Raises
-    ------
-    AccuracyError
-        If the cancellation monitor exceeds the accuracy budget.
+    The imaginary part cancels, so the core's running monitor guards the
+    result; the contracted domain x <= 10, tau <= 10 keeps it far below
+    budget.  Raises `AccuracyError` if the monitor exceeds the budget.
     """
-    x, tau = p.x, p.tau
-    if x > 10.0 or tau > 10.0:
+    if p.x > 10.0 or p.tau > 10.0:
         raise ValueError("definitional series is contracted for x <= 10, tau <= 10")
-    scaled, monitor = _defseries_scaled(x, np.array([tau]))
-    if not monitor[0] <= _DEFSERIES_BUDGET:
-        raise AccuracyError(
-            "definitional series lost too many digits to cancellation",
-            achieved=float(monitor[0]),
-        )
-    return float(scaled[0]) * math.exp(-0.5 * math.pi * tau)
+    return float(_defseries_values(np.array([p.x]), p.tau)[0])

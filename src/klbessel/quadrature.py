@@ -156,25 +156,29 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
     raise AccuracyError("quadrature did not converge", achieved=float(err))
 
 
-def phase_edges(phase, lo, hi, spacing=np.pi, min_panels=8):
-    """Panel edges on ``[lo, hi]`` where a monotone phase advances ``spacing`` per panel.
+_PHASE_SPACING = np.pi  # phase advance per `phase_edges` panel
+_MIN_PANELS = 8  # uniform panels `phase_edges` merges in
+
+
+def phase_edges(phase, lo, hi):
+    """Panel edges on ``[lo, hi]`` where a monotone phase advances pi per panel.
 
     ``phase`` must be vectorized and non-decreasing.  Crossing locations are
     found by interpolating the inverse of the phase on a fine grid; a uniform
-    subdivision into ``min_panels`` pieces is merged in so smooth stretches
-    are still resolved.
+    subdivision into 8 pieces is merged in so smooth stretches are still
+    resolved.
     """
     grid = np.linspace(lo, hi, 4097)
     pv = np.asarray(phase(grid), dtype=float)
     span = pv[-1] - pv[0]
-    n_cross = int(span / spacing)
+    n_cross = int(span / _PHASE_SPACING)
     if n_cross > 512:
         # need a finer grid than the default to bracket every crossing
         grid = np.linspace(lo, hi, 8 * n_cross + 1)
         pv = np.asarray(phase(grid), dtype=float)
-    targets = pv[0] + spacing * np.arange(1, n_cross + 1)
+    targets = pv[0] + _PHASE_SPACING * np.arange(1, n_cross + 1)
     crossings = np.interp(targets, pv, grid)
-    uniform = np.linspace(lo, hi, min_panels + 1)
+    uniform = np.linspace(lo, hi, _MIN_PANELS + 1)
     edges = np.unique(np.concatenate((crossings, uniform)))
     # guard against duplicate or out-of-range interpolation artifacts
     edges = edges[(edges >= lo) & (edges <= hi)]
@@ -185,14 +189,15 @@ def phase_edges(phase, lo, hi, spacing=np.pi, min_panels=8):
     return edges
 
 
-def averaged_tail(panel_values, levels=None):
+def averaged_tail(panel_values):
     """Limit of an oscillating series of panel integrals by repeated averaging.
 
     ``panel_values`` are integrals over consecutive half-periods of an
     oscillatory tail, so their partial sums oscillate around the limit.
     Averaging adjacent partial sums damps the oscillation by the decay
-    rate of the envelope per period; applied ``levels`` times it converges
-    like an Euler transform.
+    rate of the envelope per period; applied repeatedly it converges like
+    an Euler transform.  Of n partial sums, min(n - 4, 24) levels are taken
+    for n > 8, and n - 2 for fewer.
 
     Returns
     -------
@@ -201,11 +206,8 @@ def averaged_tail(panel_values, levels=None):
         the final averaging level -- an error proxy.
     """
     s = np.cumsum(np.asarray(panel_values))
-    if levels is None:
-        levels = min(s.size - 4, 24) if s.size > 8 else max(s.size - 2, 0)
+    levels = min(s.size - 4, 24) if s.size > 8 else max(s.size - 2, 0)
     for _ in range(levels):
-        if s.size < 2:
-            break
         s = 0.5 * (s[1:] + s[:-1])
     mid = s[s.size // 2]
     spread = float(np.max(np.abs(s - mid))) if s.size > 1 else 0.0

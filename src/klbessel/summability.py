@@ -8,10 +8,9 @@ The object of study is
 which diverges at eps = 0 for a > 0 and is summed in the Abel sense
 against Mellin test functions e^{-x} x^{s-1}.  Pointwise, `f_epsilon`
 integrates whole node arrays: each node takes the kernel from the
-definitional series where its cancellation check passes, from one contour
-evaluator call for the nodes it rejects, and at large tau from the
-large-order identity with the key-formula bracket summed as a convergent
-series, each route checked per node.
+definitional series where its roundoff check passes, which at large tau
+is the large-order identity, and from one contour evaluator call for the
+nodes it rejects, each route checked per node.
 Pairings are computed on the tau side (a convergent gamma-weighted
 integral equal to the pairing by Fubini), closed forms for the two base
 tau-integrals give exact targets, and the limit operator acts through
@@ -30,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .asymptotic import stirling_r_gamma
-from .kernel import _bracket_series, _checked_contour, _defseries_scaled, _smallx_values
+from .kernel import _checked_contour, _defseries_scaled, _defseries_values
 from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, panel_sums, phase_edges
 
 __all__ = [
@@ -302,39 +300,28 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
 def _scaled_kernel(x, tau, cfg):
     """K_{i tau}(x) e^{pi tau/2} on an array of tau, for `f_epsilon`.
 
-    Each node takes the first of these routes that meets ``cfg.rel_tol`` of
-    the natural scale: the definitional series (`_defseries_scaled`) where
-    its cancellation monitor allows; the contour evaluator up to
-    tau = max(40, 2x); past that the exact large-order identity
-    sqrt(2 pi/tau) Re[e^{i phi} (1 + r)(1 + S_inf)], with r the Stirling
-    factor and the bracket 1 + S_inf summed in full (`_bracket_series`),
-    where its roundoff monitor allows; the contour evaluator again up to
+    Each node takes the definitional series (`_defseries_scaled`) where its
+    roundoff monitor meets ``cfg.rel_tol`` of the natural scale, and the
+    contour evaluator, one `contour_values` call for all the rest, up to
     tau = 400, where e^{-pi tau/2} is still clear of float64 underflow.
-    Both contour routes are one `contour_values` call.  A node no route
-    takes raises `AccuracyError` naming x and the worst tau, ``achieved``
-    being the bracket's monitor there.
+    Nodes past tau = max(40, 2x), where the series is the large-order
+    identity, are read against its plain monitor eps sum |term_k|, all
+    others against the weighted one.  A node past tau = 400 that the series
+    does not take raises `AccuracyError` naming x and the worst tau,
+    ``achieved`` being the plain monitor there.
     """
     tau = np.asarray(tau, dtype=float)
-    scaled, monitor = _defseries_scaled(x, tau)
-    contour = ~(monitor <= cfg.rel_tol)
-    far = np.flatnonzero(contour & (tau > max(40.0, 2.0 * x)))
-    if far.size:
-        t = tau[far]
-        bracket, bracket_monitor = _bracket_series(x, t)
-        ok = bracket_monitor <= cfg.rel_tol
-        stuck = ~ok & (t > 400.0)
-        if stuck.any():
-            worst = np.argmax(np.where(stuck, bracket_monitor, -np.inf))
-            raise AccuracyError(
-                "f_epsilon: no kernel route meets the tolerance at "
-                f"x={x:.17g}, tau={t[worst]:.17g}",
-                achieved=float(bracket_monitor[worst]),
-            )
-        far, t = far[ok], t[ok]
-        phi = t * np.log(2.0 * t / (math.e * x)) - 0.25 * math.pi
-        amplitude = (1.0 + stirling_r_gamma(t)) * bracket[ok]
-        scaled[far] = np.sqrt(2.0 * math.pi / t) * np.real(np.exp(1j * phi) * amplitude)
-        contour[far] = False
+    scaled, monitor, plain = _defseries_scaled(x, tau)
+    far = tau > max(40.0, 2.0 * x)
+    contour = ~(np.where(far, plain, monitor) <= cfg.rel_tol)
+    stuck = contour & far & (tau > 400.0)
+    if stuck.any():
+        worst = np.argmax(np.where(stuck, plain, -np.inf))
+        raise AccuracyError(
+            "f_epsilon: no kernel route meets the tolerance at "
+            f"x={x:.17g}, tau={tau[worst]:.17g}",
+            achieved=float(plain[worst]),
+        )
     if contour.any():
         t = tau[contour]
         scaled[contour] = _checked_contour(x, t, 0.0, cfg) * np.exp(0.5 * math.pi * t)
@@ -350,15 +337,16 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
     e^{-pi tau/2} decay.
 
     The scaled kernel comes from `_scaled_kernel` on each whole node array:
-    the definitional series where its cancellation check passes (every
-    node at x <= 5), the contour evaluator for the rejected nodes up to
-    tau = max(40, 2x), and past that the large-order identity with the
-    key-formula bracket summed in full.  No node costs a quadrature of its
-    own, and the whole range [0, tau_max] is one phase-resolved integral.
+    the definitional series where its roundoff check passes (every node at
+    x <= 5, and past tau = max(40, 2x) the large-order identity it becomes
+    there), and the contour evaluator for the rejected nodes.  No node
+    costs a quadrature of its own, and the whole range [0, tau_max] is one
+    phase-resolved integral.
 
-    Domain at a = 0: x up to 100 at eps = 1e-2 and 1e-3.  Where the
-    Gaussian reaches past tau = 400 and the bracket's roundoff misses the
-    tolerance (x = 200, eps = 1e-4), AccuracyError names x and tau.
+    Domain at a = 0: x up to 100 at eps = 1e-2 and 1e-3, up to 130 at
+    eps = 2e-4.  Where the Gaussian reaches past tau = 400 and the series'
+    roundoff misses the tolerance (x = 200, eps = 1e-4), AccuracyError
+    names x and tau.
 
     For a > 0 the value is what is left after cancellation.  The
     weight e^{-eps tau^2 + a tau} peaks near tau = a/(2 eps) at
@@ -473,8 +461,8 @@ def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
     The left side is `mellin_pair` of the kernel with panels a quarter of
     the kernel's log-axis oscillation period wide; the right side is
     closed-form gamma arithmetic.  Each node array takes the kernel from
-    two array calls: the small-x series at x <= 0.05 and `contour_values`
-    above.
+    two array calls: the definitional series at x <= 0.05, where it is
+    exact to roundoff in a few terms, and `contour_values` above.
     """
     if not s > 0.0 or not tau > 0.0:
         raise ValueError("s and tau must be positive")
@@ -482,7 +470,7 @@ def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
     def kernel(xs):
         small = xs <= 0.05
         vals = np.empty(xs.shape)
-        vals[small] = _smallx_values(xs[small], tau)
+        vals[small] = _defseries_values(xs[small], tau)
         vals[~small] = _checked_contour(xs[~small], tau, 0.0, cfg)
         return vals
 

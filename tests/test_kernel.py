@@ -176,13 +176,11 @@ def test_contour_values_domain(x, tau, mu):
 
 def _full_scan_angles(x, tau):
     """The first of 512 grid angles within 3 nats of the grid minimum of
-    g(t) = -tau t + log K_0(x cos t), scanning every angle, and log K_0(x cos t)
-    at every 16th angle."""
+    g(t) = -tau t + log K_0(x cos t), scanning every angle."""
     angles = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
     c = np.asarray(x)[:, None] * np.cos(angles)
-    log_k0 = np.log(special.k0e(c)) - c
-    g = log_k0 - np.asarray(tau)[:, None] * angles
-    return angles[np.argmax(g <= g.min(axis=1, keepdims=True) + 3.0, axis=1)], log_k0[:, ::16]
+    g = np.log(special.k0e(c)) - c - np.asarray(tau)[:, None] * angles
+    return angles[np.argmax(g <= g.min(axis=1, keepdims=True) + 3.0, axis=1)]
 
 
 def _same(got, want):
@@ -197,15 +195,14 @@ def test_contour_angles_match_full_scan():
     n = 10_000
     x = np.exp(rng.uniform(math.log(0.005), math.log(150.0), n))
     tau = np.exp(rng.uniform(math.log(0.05), math.log(60.0), n))
-    parts = [_full_scan_angles(x[i:i + 500], tau[i:i + 500]) for i in range(0, n, 500)]
-    want = [np.concatenate(p) for p in zip(*parts)]
-    assert _same(kernel._contour_angles(x, tau), want)
+    want = np.concatenate([_full_scan_angles(x[i:i + 500], tau[i:i + 500]) for i in range(0, n, 500)])
+    assert np.array_equal(kernel._contour_angles(x, tau), want)
     grid_x, grid_tau = np.geomspace(0.01, 100.0, 25), np.geomspace(0.1, 40.0, 25)
     x, tau = (a.ravel() for a in np.meshgrid(grid_x, grid_tau))
-    assert _same(kernel._contour_angles(x, tau), _full_scan_angles(x, tau))
+    assert np.array_equal(kernel._contour_angles(x, tau), _full_scan_angles(x, tau))
     for xi, ti in zip(*CATALOG_CORNERS):
         one = kernel._contour_angles(np.array([xi]), np.array([ti]))
-        assert _same(one, _full_scan_angles([xi], [ti])), (xi, ti)
+        assert np.array_equal(one, _full_scan_angles([xi], [ti])), (xi, ti)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.1, 0.25, 0.5, 1.0])
@@ -251,8 +248,7 @@ def test_angle_search_runs_once_per_point_set(cfg, monkeypatch):
     orders = (0.0, 0.1, 0.25, 0.5, 1.0)
     warm = [contour_values(x, tau, mu, cfg) for mu in orders]
     assert sizes == [625]
-    theta, rows = kernel._contour_angles(x, tau)
-    assert not theta.flags.writeable and not rows.flags.writeable
+    assert not kernel._contour_angles(x, tau).flags.writeable
     for mu, got in zip(orders, warm):
         monkeypatch.setattr(kernel, "_last_angles", (None, None))
         assert _same(got, contour_values(x, tau, mu, cfg)), mu
@@ -276,7 +272,7 @@ def test_angle_memo_never_pairs_one_point_set_with_anothers_angles(monkeypatch):
     def work(start):
         for i in range(start, start + 60):
             got = kernel._contour_angles(*point_sets[i % 2])
-            if not _same(got, want[i % 2]):
+            if not np.array_equal(got, want[i % 2]):
                 bad.append(i)
 
     interval = sys.getswitchinterval()
@@ -582,3 +578,53 @@ def test_smallx_evaluator(cfg):
         assert abs(a - b) <= 1e-11 * abs(b), tau
     with pytest.raises(ValueError):
         k_itau_smallx(EvaluationPoint(0.06, 1.0))
+
+
+# K_{i tau}(x) near the origin, from mpmath 1.3 at 30 digits (mpmath is not
+# imported here):
+#   mp.mp.dps = 30; mp.nstr(mp.besselk(1j * mp.mpf(tau), mp.mpf(x)).real, 17)
+# (x, tau): value
+SMALLX_REFERENCE = {
+    (1e-12, 1e-6): 27.746952628004175,
+    (1e-12, 1.0): 0.12994941382140739,
+    (1e-12, 40.0): -7.5089325152931317e-29,
+    (1e-6, 1e-6): 13.931442073164714,
+    (1e-6, 1.0): 0.52029218538416702,
+    (1e-6, 40.0): -1.279056398629059e-28,
+    (1e-3, 1e-6): 7.0236888004992563,
+    (1e-3, 1.0): 0.44335467790675741,
+    (1e-3, 40.0): -1.502917601148897e-28,
+    (0.05, 1e-6): 3.1142340294647993,
+    (0.05, 1.0): -0.12703350771091382,
+    (0.05, 40.0): -2.0224624400626975e-28,
+}
+
+
+@pytest.mark.parametrize("x, tau", sorted(SMALLX_REFERENCE))
+def test_smallx_matches_frozen_reference(x, tau):
+    want = SMALLX_REFERENCE[x, tau]
+    assert abs(k_itau_smallx(EvaluationPoint(x, tau)) - want) <= 2e-12 * abs(want)
+
+
+def test_defseries_batch_equals_one_point_calls():
+    # nodes stop on their own: x = 1e-9 after a term or two, x = 20 after
+    # dozens, so a batch mixes stopped and running nodes; 20,000 nodes make
+    # arrays of over 256 KiB, which numpy may reuse in place, and among
+    # every 97th of them at x = 20 are nodes whose sums would move by a last
+    # bit if they ran on after stopping
+    def check(xs, taus, every=1):
+        got = kernel._defseries_scaled(xs, taus)
+        xb, tb = np.broadcast_arrays(xs, taus)
+        for i in list(np.ndindex(xb.shape))[::every]:
+            one = kernel._defseries_scaled(np.array([xb[i]]), np.array([tb[i]]))
+            assert all(g[i].tobytes() == o[0].tobytes() for g, o in zip(got, one, strict=True)), i
+
+    x = np.array([1e-9, 0.3, 20.0, 2.0, 1e-9, 20.0])
+    tau = np.array([1e-4, 1.0, 7.0, 60.0, 300.0, 0.5])
+    check(x, tau)
+    check(x, np.array([7.0]))
+    check(np.array([20.0]), tau)
+    check(x[:, None], tau)
+    many = np.geomspace(1e-3, 300.0, 20_000)
+    check(np.array([1e-9]), many, every=97)
+    check(np.array([20.0]), many, every=97)

@@ -644,7 +644,7 @@ class TestScaledKernel:
             want = k_itau_oracle(EvaluationPoint(x, t), cfg) * math.exp(0.5 * math.pi * t)
             assert abs(g - want) <= 1e-11 * math.sqrt(2.0 * math.pi / t), (x, t)
         if x == 100.0:
-            _, monitor = kernel._defseries_scaled(x, taus)
+            _, monitor, _ = kernel._defseries_scaled(x, taus)
             assert 0 < len(contour_points) < np.count_nonzero(monitor > cfg.rel_tol)
 
 
@@ -785,7 +785,7 @@ class TestBatchedConsumers:
         f_epsilon(SummabilityQuery(x=x), 1e-2, cfg)
         assert oracle_calls == []
         taus = np.geomspace(1e-3, 40.0, 300)
-        scaled, monitor = kernel._defseries_scaled(x, taus)
+        scaled, monitor, _ = kernel._defseries_scaled(x, taus)
         rejected = np.flatnonzero(~(monitor <= cfg.rel_tol))
         assert 0 < rejected.size < taus.size
         for i in rejected:

@@ -28,6 +28,7 @@ COMMANDS = (
     ("eval", "--x", "1", "--tau", "1"),
     ("eval", "--x", "1", "--tau", "1", "--method", "keyformula", "--N", "6"),
     ("eval", "--x", "2", "--tau", "3", "--method", "defseries"),
+    ("eval", "--x", "0.01", "--tau", "5", "--method", "defseries"),
     ("certify", "--id", "LEBEDEV_15") + SMALL,
     ("certify", "--id", "FAMILY_17", "--nu", "0.4", "--mu", "0.2") + SMALL,
     ("certify", "--all") + SMALL,
