@@ -47,7 +47,6 @@ from .bounds import (
     all_default_descriptors,
     catalog_ids,
     certify_bound,
-    default_descriptor,
     default_grid,
     evaluate_bound,
     kernel_grid_values,
@@ -102,9 +101,9 @@ __all__ = [
     "k_itau_defseries",
     # bounds
     "BoundDescriptor", "BoundCertificate", "catalog_ids", "make_descriptor",
-    "default_descriptor", "all_default_descriptors", "evaluate_bound",
-    "certify_bound", "kernel_grid_values", "default_grid",
-    "verify_representation", "olenko_c", "measure_c",
+    "all_default_descriptors", "evaluate_bound", "certify_bound",
+    "kernel_grid_values", "default_grid", "verify_representation", "olenko_c",
+    "measure_c",
     # asymptotic
     "ExpansionReport", "phase", "leading_term", "stirling_r_gamma",
     "stirling_r_integral", "remainder_measured", "remainder_explicit",

@@ -36,8 +36,6 @@ __all__ = [
     "remainder_explicit",
     "remainder_bound",
     "expansion_report",
-    "report_csv_header",
-    "report_csv_row",
 ]
 
 _QUARTER_PI = 0.25 * math.pi
@@ -244,23 +242,3 @@ def expansion_report(p, N, tau0, X, cfg=DEFAULT_CONFIG):
         remainder_bound=bound,
         within_bound=abs(measured) <= bound * (1.0 + 1e-9),
     )
-
-
-def report_csv_header():
-    return [
-        "x", "tau", "N", "leading",
-        "remainder_measured", "remainder_explicit", "remainder_bound", "pass",
-    ]
-
-
-def report_csv_row(report):
-    return [
-        repr(report.point.x),
-        repr(report.point.tau),
-        str(report.N),
-        repr(report.leading),
-        repr(report.remainder_measured),
-        repr(report.remainder_explicit),
-        repr(report.remainder_bound),
-        str(report.within_bound).lower(),
-    ]

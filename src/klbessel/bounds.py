@@ -36,7 +36,6 @@ __all__ = [
     "measure_c",
     "catalog_ids",
     "make_descriptor",
-    "default_descriptor",
     "all_default_descriptors",
     "evaluate_bound",
     "certify_bound",
@@ -171,12 +170,6 @@ class BoundDescriptor:
     kernel_part: str
     label: str
     validity: str
-
-    def param(self, name):
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -439,8 +432,7 @@ def _no_params(params):
 @dataclass(frozen=True)
 class _CatalogEntry:
     label: str
-    param_names: tuple
-    defaults: dict
+    defaults: dict  # parameter name -> default value, in the entry's order
     validate: callable
     log_bound: callable
     kernel_part: str
@@ -450,82 +442,82 @@ class _CatalogEntry:
 
 _CATALOG = {
     "LEBEDEV_15": _CatalogEntry(
-        "1.5", (), {}, _no_params, _log_bound_lebedev_15, "abs",
+        "1.5", {}, _no_params, _log_bound_lebedev_15, "abs",
         "x > 0, tau > 0", lambda p: 0.0,
     ),
     "FAMILY_17": _CatalogEntry(
-        "1.7", ("nu", "mu"), {"nu": 0.3, "mu": 0.1}, _validate_family_17,
+        "1.7", {"nu": 0.3, "mu": 0.1}, _validate_family_17,
         _log_bound_family_17, "abs",
         "x > 0, tau > 0; nu >= -1/2, mu < (nu + 1/2)/2; bounds |K_{mu + i tau}|",
         lambda p: p["mu"],
     ),
     "HALF_RANGE_18": _CatalogEntry(
-        "1.8", ("nu",), {"nu": 0.25}, _validate_half_range_18,
+        "1.8", {"nu": 0.25}, _validate_half_range_18,
         _log_bound_half_range_18, "abs",
         "x > 0, tau > 0; -1/2 < nu <= 1/2", lambda p: 0.0,
     ),
     "OLENKO_19": _CatalogEntry(
-        "1.9", ("nu",), {"nu": 1.0}, _validate_olenko_19,
+        "1.9", {"nu": 1.0}, _validate_olenko_19,
         _log_bound_olenko_19, "abs",
         "x > 0, tau > 0; nu > 0", lambda p: 0.0,
     ),
     "MODIFIED_110": _CatalogEntry(
-        "1.10", (), {}, _no_params, _log_bound_modified_110, "abs",
+        "1.10", {}, _no_params, _log_bound_modified_110, "abs",
         "x > 0, tau > 0", lambda p: 0.0,
     ),
     "DELTA_111": _CatalogEntry(
-        "1.11", ("delta",), {"delta": 0.5}, _validate_delta_111,
+        "1.11", {"delta": 0.5}, _validate_delta_111,
         _log_bound_delta_111, "abs",
         "x > 0, tau > 0; 0 < delta < 1", lambda p: 0.0,
     ),
     "MU_EQ_NU_112": _CatalogEntry(
-        "1.12", ("nu",), {"nu": 0.25}, _validate_mu_eq_nu_112,
+        "1.12", {"nu": 0.25}, _validate_mu_eq_nu_112,
         _log_bound_mu_eq_nu_112, "abs",
         "x > 0, tau > 0; -1/2 <= nu < 1/2; bounds |K_{nu + i tau}|",
         lambda p: p["nu"],
     ),
     "LS_RE_113": _CatalogEntry(
-        "1.13", (), {}, _no_params, _log_bound_ls_113_114, "real_abs",
+        "1.13", {}, _no_params, _log_bound_ls_113_114, "real_abs",
         "x > 0, tau > 0; bounds |Re K_{1/2 + i tau}|", lambda p: 0.5,
     ),
     "LS_IM_114": _CatalogEntry(
-        "1.14", (), {}, _no_params, _log_bound_ls_113_114, "imag_abs",
+        "1.14", {}, _no_params, _log_bound_ls_113_114, "imag_abs",
         "x > 0, tau > 0; bounds |Im K_{1/2 + i tau}|", lambda p: 0.5,
     ),
     "K1_115": _CatalogEntry(
-        "1.15", ("nu",), {"nu": 2.0}, _validate_above_three_halves,
+        "1.15", {"nu": 2.0}, _validate_above_three_halves,
         _log_bound_k1_115, "abs",
         "x > 0, tau > 0; nu > 3/2; bounds |K_{1 + i tau}|", lambda p: 1.0,
     ),
     "VIA_116_117": _CatalogEntry(
-        "1.17", ("nu",), {"nu": 2.0}, _validate_above_three_halves,
+        "1.17", {"nu": 2.0}, _validate_above_three_halves,
         _log_bound_via_116_117, "abs",
         "x > 0, tau > 0; nu > 3/2", lambda p: 0.0,
     ),
     "DELTA_118": _CatalogEntry(
-        "1.18", ("delta",), {"delta": 0.5}, _validate_delta_118,
+        "1.18", {"delta": 0.5}, _validate_delta_118,
         _log_bound_delta_118, "abs",
         "x > 0, tau > 0; delta > 0", lambda p: 0.0,
     ),
     "COMPOSITE_126": _CatalogEntry(
-        "1.26", ("delta", "M", "N"), {"delta": 1.0, "M": 1, "N": 1},
+        "1.26", {"delta": 1.0, "M": 1, "N": 1},
         _validate_composite_126, _log_bound_composite_126, "abs",
         "x > 0, tau > 0; delta > 0, M >= 1, N >= 1", lambda p: 0.0,
     ),
     "ITER_128": _CatalogEntry(
-        "1.28", (), {}, _no_params, _log_bound_iter_128, "abs",
+        "1.28", {}, _no_params, _log_bound_iter_128, "abs",
         "x > 0, tau > 0", lambda p: 0.0,
     ),
     "ITER_129": _CatalogEntry(
-        "1.29", (), {}, _no_params, _log_bound_iter_129, "abs",
+        "1.29", {}, _no_params, _log_bound_iter_129, "abs",
         "x > 0, tau > 0", lambda p: 0.0,
     ),
     "ITER_130": _CatalogEntry(
-        "1.30", ("n",), {"n": 3}, _validate_iter_130, _log_bound_iter_130, "abs",
+        "1.30", {"n": 3}, _validate_iter_130, _log_bound_iter_130, "abs",
         "x > 0, tau > 0; n >= 1", lambda p: 0.0,
     ),
     "EXP_DECAY_315": _CatalogEntry(
-        "3.15", ("delta",), {"delta": math.pi / 6.0}, _validate_exp_decay_315,
+        "3.15", {"delta": math.pi / 6.0}, _validate_exp_decay_315,
         _log_bound_exp_decay_315, "abs",
         "x > 0, tau > 0; 0 <= delta < pi/2", lambda p: 0.0,
     ),
@@ -547,7 +539,7 @@ def make_descriptor(bound_id, **params):
         entry = _CATALOG[bound_id]
     except KeyError:
         raise ValueError(f"unknown catalog id {bound_id!r}") from None
-    unknown = set(params) - set(entry.param_names)
+    unknown = set(params) - set(entry.defaults)
     if unknown:
         raise ValueError(f"{bound_id} does not take parameters {sorted(unknown)}")
     merged = dict(entry.defaults)
@@ -557,17 +549,12 @@ def make_descriptor(bound_id, **params):
     merged = entry.validate(merged)
     return BoundDescriptor(
         id=bound_id,
-        params=tuple((name, merged[name]) for name in entry.param_names),
+        params=tuple((name, merged[name]) for name in entry.defaults),
         order_mu=float(entry.order_mu(merged)),
         kernel_part=entry.kernel_part,
         label=entry.label,
         validity=entry.validity,
     )
-
-
-def default_descriptor(bound_id):
-    """Descriptor with the entry's default parameters."""
-    return make_descriptor(bound_id)
 
 
 def all_default_descriptors():

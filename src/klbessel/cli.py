@@ -9,6 +9,12 @@ identities  residuals of the integral-representation and index-raising checks
 summ        regularized-pairing convergence table against the closed target
 catalog     list the bound catalog
 
+Each subcommand takes only the shared flags it reads: ``--format`` and
+``--output`` everywhere; ``--abs-tol``/``--rel-tol`` everywhere but
+``catalog``; the tau axis ``--tau-min/--tau-max/--tau-count/--spacing`` on
+``asympt`` and ``certify``; the x axis ``--x-min/--x-max/--x-count`` on
+``certify`` alone.  Any other flag is a usage error.
+
 Every command writes CSV (default) or JSON to stdout or ``--output``.
 CSV output always includes the header row; the per-command schema is
 documented in each subcommand's ``--help`` epilog.  JSON documents are
@@ -16,8 +22,9 @@ serialized with sorted keys and two-space indentation, so re-serializing
 a parsed document reproduces it byte for byte.
 
 Exit codes: 0 success, 1 a reported check failed, 2 usage or domain
-error (OverflowError, a value leaving float range, included), 3 a
-quadrature accuracy contract could not be met.
+error (OverflowError, a value leaving float range, and an ``--output``
+path that cannot be written included), 3 a quadrature accuracy contract
+could not be met.
 """
 
 import argparse
@@ -25,7 +32,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import asymptotic, bounds, summability
 from .kernel import (
@@ -38,7 +45,7 @@ from .kernel import (
 )
 from .quadrature import DEFAULT_CONFIG, AccuracyError, QuadratureConfig
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 # identity checks rendered by `identities`: id, point, relative tolerance
 IDENTITY_ROWS = (
@@ -50,63 +57,34 @@ IDENTITY_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    command: str
-    x_min: float = 0.01
-    x_max: float = 100.0
-    x_count: int = 25
-    tau_min: float = 0.1
-    tau_max: float = 40.0
-    tau_count: int = 25
-    spacing: str = "log"
-    abs_tol: float = DEFAULT_CONFIG.abs_tol
-    rel_tol: float = DEFAULT_CONFIG.rel_tol
-    output_format: str = "csv"
-    output_path: str = None
-
-    def __post_init__(self):
-        if self.x_count < 1 or self.tau_count < 1:
-            raise ValueError("grid counts must be at least 1")
-        if not (self.x_min > 0 and self.x_max >= self.x_min):
-            raise ValueError("x range must satisfy 0 < x_min <= x_max")
-        if not (self.tau_min > 0 and self.tau_max >= self.tau_min):
-            raise ValueError("tau range must satisfy 0 < tau_min <= tau_max")
-        if self.spacing not in ("log", "linear"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-
-    def quad_config(self):
-        return QuadratureConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
-
-    def grid(self):
-        """Evaluation grid from the range flags (x fastest, like the default)."""
-        if self.spacing == "log":
-            return bounds.default_grid(
-                self.x_count, self.tau_count,
-                self.x_min, self.x_max, self.tau_min, self.tau_max,
-            )
-        xs = _axis(self.x_min, self.x_max, self.x_count, "linear")
-        taus = _axis(self.tau_min, self.tau_max, self.tau_count, "linear")
-        return tuple(EvaluationPoint(x, t) for t in taus for x in xs)
-
-    def tau_axis(self):
-        return _axis(self.tau_min, self.tau_max, self.tau_count, self.spacing)
+def _quad_config(args):
+    return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
 
-def _axis(lo, hi, count, spacing):
+def _axis(args, name):
+    """The validated ``name`` axis ("x" or "tau") from its range flags."""
+    lo, hi, count = (getattr(args, f"{name}_{k}") for k in ("min", "max", "count"))
+    if count < 1:
+        raise ValueError("grid counts must be at least 1")
+    if not (lo > 0 and hi >= lo):
+        raise ValueError(f"{name} range must satisfy 0 < {name}_min <= {name}_max")
     if count == 1:
         return (lo,)
-    if spacing == "log":
+    if args.spacing == "log":
         ratio = (hi / lo) ** (1.0 / (count - 1))
         return tuple(lo * ratio**i for i in range(count))
     step = (hi - lo) / (count - 1)
     return tuple(lo + step * i for i in range(count))
+
+
+def _certify_grid(args):
+    """The certification grid from the range flags (x fastest, like the default)."""
+    xs, taus = _axis(args, "x"), _axis(args, "tau")
+    if args.spacing == "log":
+        # np.geomspace, bit for bit the default grid, not `_axis`'s ratio powers
+        return bounds.default_grid(
+            args.x_count, args.tau_count, args.x_min, args.x_max, args.tau_min, args.tau_max)
+    return tuple(EvaluationPoint(x, t) for t in taus for x in xs)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +129,18 @@ def _expansion_record(r):
     return doc
 
 
+_EXPANSION_HEADER = ["x", "tau", "N", "leading", "remainder_measured",
+                     "remainder_explicit", "remainder_bound", "pass"]
+
+
+def _expansion_row(r):
+    return [
+        repr(r.point.x), repr(r.point.tau), str(r.N), repr(r.leading),
+        repr(r.remainder_measured), repr(r.remainder_explicit),
+        repr(r.remainder_bound), str(r.within_bound).lower(),
+    ]
+
+
 def _summability_record(r):
     q = r.query
     return {
@@ -169,21 +159,24 @@ def _summability_record(r):
     }
 
 
-def _emit(text, rc):
-    if rc.output_path:
-        # newline="" so csv's RFC 4180 line endings pass through untranslated
-        with open(rc.output_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
+def _emit(text, args):
+    if not args.output:
         sys.stdout.write(text)
+        return
+    try:
+        # newline="" so csv's RFC 4180 line endings pass through untranslated
+        with open(args.output, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_eval(args, rc):
+def _cmd_eval(args):
     p = EvaluationPoint(args.x, args.tau)
-    cfg = rc.quad_config()
+    cfg = _quad_config(args)
     order = args.N if args.N is not None else 4
     if args.method == "oracle":
         value = k_itau_oracle(p, cfg)
@@ -195,7 +188,7 @@ def _cmd_eval(args, rc):
         value = k_itau_defseries(p)
         reference = k_itau_oracle(p, cfg)
     estimate = abs(value - reference)
-    if rc.output_format == "json":
+    if args.format == "json":
         doc = {
             "x": p.x,
             "tau": p.tau,
@@ -204,7 +197,7 @@ def _cmd_eval(args, rc):
             "value": value,
             "error_estimate": estimate,
         }
-        _emit(_json_text(doc), rc)
+        _emit(_json_text(doc), args)
     else:
         row = [
             repr(p.x), repr(p.tau), args.method,
@@ -212,18 +205,22 @@ def _cmd_eval(args, rc):
             repr(value), repr(estimate),
         ]
         _emit(_csv_text(
-            ["x", "tau", "method", "N", "value", "error_estimate"], [row]), rc)
+            ["x", "tau", "method", "N", "value", "error_estimate"], [row]), args)
     return 0
 
 
+def _catalog_params():
+    """Every catalog parameter name, in catalog order: `certify`'s value flags."""
+    return dict.fromkeys(k for d in bounds.all_default_descriptors() for k, _ in d.params)
+
+
 def _certify_params(args):
-    names = ("nu", "mu", "delta", "M", "N", "n")
-    return {k: v for k in names if (v := getattr(args, k)) is not None}
+    return {k: v for k in _catalog_params() if (v := getattr(args, k)) is not None}
 
 
-def _cmd_certify(args, rc):
-    cfg = rc.quad_config()
-    grid = rc.grid()
+def _cmd_certify(args):
+    grid = _certify_grid(args)
+    cfg = _quad_config(args)
     if args.all:
         descriptors = bounds.all_default_descriptors()
     else:
@@ -236,9 +233,9 @@ def _cmd_certify(args, rc):
             kernel_cache[d.order_mu] = bounds.kernel_grid_values(grid, d.order_mu, cfg)
         certs.append(bounds.certify_bound(
             d, grid, cfg, kernel_values=kernel_cache[d.order_mu]))
-    if rc.output_format == "json":
+    if args.format == "json":
         docs = [_certificate_record(c) for c in certs]
-        _emit(_json_text(docs[0] if len(docs) == 1 else {"certificates": docs}), rc)
+        _emit(_json_text(docs[0] if len(docs) == 1 else {"certificates": docs}), args)
     else:
         rows = []
         for c in certs:
@@ -254,26 +251,24 @@ def _cmd_certify(args, rc):
             ])
         _emit(_csv_text(
             ["id", "label", "params", "max_ratio", "worst_x", "worst_tau",
-             "indeterminate", "passed"], rows), rc)
+             "indeterminate", "passed"], rows), args)
     return 0 if all(c.passed for c in certs) else 1
 
 
-def _cmd_asympt(args, rc):
-    cfg = rc.quad_config()
+def _cmd_asympt(args):
+    cfg = _quad_config(args)
     if args.N == 0:
         print("warning: N=0 reports are checked against the N=1 bound",
               file=sys.stderr)
     reports = [
         asymptotic.expansion_report(
             EvaluationPoint(args.x, tau), args.N, args.tau0, args.X, cfg)
-        for tau in rc.tau_axis()
+        for tau in _axis(args, "tau")
     ]
-    if rc.output_format == "json":
-        _emit(_json_text({"reports": [_expansion_record(r) for r in reports]}), rc)
+    if args.format == "json":
+        _emit(_json_text({"reports": [_expansion_record(r) for r in reports]}), args)
     else:
-        _emit(_csv_text(
-            asymptotic.report_csv_header(),
-            [asymptotic.report_csv_row(r) for r in reports]), rc)
+        _emit(_csv_text(_EXPANSION_HEADER, [_expansion_row(r) for r in reports]), args)
     return 0 if all(r.within_bound for r in reports) else 1
 
 
@@ -283,8 +278,8 @@ def _index_raising_residual(p, cfg):
     return abs(lhs - rhs) / abs(lhs)
 
 
-def _cmd_identities(args, rc):
-    cfg = rc.quad_config()
+def _cmd_identities(args):
+    cfg = _quad_config(args)
     selected = IDENTITY_ROWS
     if args.id is not None:
         selected = tuple(r for r in IDENTITY_ROWS if r[0] == args.id)
@@ -305,14 +300,14 @@ def _cmd_identities(args, rc):
             "residual": residual, "tolerance": tol,
             "passed": residual <= tol,
         })
-    if rc.output_format == "json":
-        _emit(_json_text({"identities": records}), rc)
+    if args.format == "json":
+        _emit(_json_text({"identities": records}), args)
     else:
         rows = [[r["id"], repr(r["x"]), repr(r["tau"]), repr(r["residual"]),
                  repr(r["tolerance"]), str(r["passed"]).lower()]
                 for r in records]
         _emit(_csv_text(
-            ["id", "x", "tau", "residual", "tolerance", "passed"], rows), rc)
+            ["id", "x", "tau", "residual", "tolerance", "passed"], rows), args)
     return 0 if all(r["passed"] for r in records) else 1
 
 
@@ -324,8 +319,8 @@ def _psi_spec(kind, b):
     return summability.cos_spec(b)
 
 
-def _cmd_summ(args, rc):
-    cfg = rc.quad_config()
+def _cmd_summ(args):
+    cfg = _quad_config(args)
     if args.schedule is not None:
         schedule = tuple(float(s) for s in args.schedule.split(","))
     else:
@@ -339,22 +334,22 @@ def _cmd_summ(args, rc):
         mellin_s=args.s,
     )
     report = summability.theorem3_check(query, cfg)
-    if rc.output_format == "json":
-        _emit(_json_text(_summability_record(report)), rc)
+    if args.format == "json":
+        _emit(_json_text(_summability_record(report)), args)
     else:
         rows = [
             [repr(eps), repr(value), repr(report.target), repr(err)]
             for eps, value, err in zip(
                 query.epsilon_schedule, report.pairing_values, report.errors)
         ]
-        _emit(_csv_text(["epsilon", "pairing", "target", "error"], rows), rc)
+        _emit(_csv_text(["epsilon", "pairing", "target", "error"], rows), args)
     return 0 if report.converged else 1
 
 
-def _cmd_catalog(args, rc):
+def _cmd_catalog(args):
     descriptors = bounds.all_default_descriptors()
-    if rc.output_format == "json":
-        _emit(_json_text({"bounds": [_descriptor_record(d) for d in descriptors]}), rc)
+    if args.format == "json":
+        _emit(_json_text({"bounds": [_descriptor_record(d) for d in descriptors]}), args)
     else:
         rows = [[
             d.id, d.label,
@@ -363,7 +358,7 @@ def _cmd_catalog(args, rc):
         ] for d in descriptors]
         _emit(_csv_text(
             ["id", "label", "params", "order_mu", "kernel_part", "validity"],
-            rows), rc)
+            rows), args)
     return 0
 
 
@@ -380,22 +375,26 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 # parser
 
-def _common_options(tau_min_default=0.1):
-    common = argparse.ArgumentParser(add_help=False)
-    grid = common.add_argument_group("grid")
-    grid.add_argument("--x-min", type=float, default=0.01)
-    grid.add_argument("--x-max", type=float, default=100.0)
-    grid.add_argument("--x-count", type=int, default=25)
-    grid.add_argument("--tau-min", type=float, default=tau_min_default)
-    grid.add_argument("--tau-max", type=float, default=40.0)
-    grid.add_argument("--tau-count", type=int, default=25)
-    grid.add_argument("--spacing", choices=("log", "linear"), default="log")
-    out = common.add_argument_group("output and accuracy")
-    out.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
-    out.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
+def _shared_options(*axes, tau_min=0.1, tolerances=True):
+    """Parent parser of the shared flags one subcommand reads: the range
+    flags of each of ``axes`` ("x", "tau") and --spacing where it has axes,
+    --abs-tol/--rel-tol unless ``tolerances`` is false, --format/--output."""
+    shared = argparse.ArgumentParser(add_help=False)
+    if axes:
+        grid = shared.add_argument_group("grid")
+        ranges = {"x": (0.01, 100.0), "tau": (tau_min, 40.0)}
+        for name in axes:
+            grid.add_argument(f"--{name}-min", type=float, default=ranges[name][0])
+            grid.add_argument(f"--{name}-max", type=float, default=ranges[name][1])
+            grid.add_argument(f"--{name}-count", type=int, default=25)
+        grid.add_argument("--spacing", choices=("log", "linear"), default="log")
+    out = shared.add_argument_group("output and accuracy")
+    if tolerances:
+        out.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
+        out.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
     out.add_argument("--format", choices=("csv", "json"), default="csv")
     out.add_argument("--output", default=None, metavar="PATH")
-    return common
+    return shared
 
 
 def build_parser():
@@ -405,7 +404,7 @@ def build_parser():
                     "evaluation, certified bounds, asymptotics, summability.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_options()
+    common = _shared_options()
 
     p_eval = sub.add_parser(
         "eval", parents=[common],
@@ -424,7 +423,7 @@ def build_parser():
                         help="key-formula truncation order (default 4)")
 
     p_cert = sub.add_parser(
-        "certify", parents=[common],
+        "certify", parents=[_shared_options("x", "tau")],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         help="certify catalog bounds over a grid",
         epilog="CSV schema: id,label,params,max_ratio,worst_x,worst_tau,"
@@ -435,15 +434,11 @@ def build_parser():
     which.add_argument("--id", help="catalog identifier")
     which.add_argument("--all", action="store_true",
                        help="certify the whole catalog")
-    p_cert.add_argument("--nu", type=float, default=None)
-    p_cert.add_argument("--mu", type=float, default=None)
-    p_cert.add_argument("--delta", type=float, default=None)
-    p_cert.add_argument("--M", type=float, default=None)
-    p_cert.add_argument("--N", type=float, default=None)
-    p_cert.add_argument("--n", type=int, default=None)
+    for name in _catalog_params():
+        p_cert.add_argument(f"--{name}", type=float, default=None)
 
     p_asympt = sub.add_parser(
-        "asympt", parents=[_common_options(tau_min_default=1.0)],
+        "asympt", parents=[_shared_options("tau", tau_min=1.0)],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         help="expansion reports over a tau axis",
         epilog="CSV schema: x,tau,N,leading,remainder_measured,"
@@ -489,28 +484,11 @@ def build_parser():
                         help="comma-separated epsilon schedule")
 
     sub.add_parser(
-        "catalog", parents=[common],
+        "catalog", parents=[_shared_options(tolerances=False)],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         help="list the bound catalog",
         epilog="CSV schema: id,label,params,order_mu,kernel_part,validity")
     return parser
-
-
-def _run_config(args):
-    return RunConfig(
-        command=args.command,
-        x_min=args.x_min,
-        x_max=args.x_max,
-        x_count=args.x_count,
-        tau_min=args.tau_min,
-        tau_max=args.tau_max,
-        tau_count=args.tau_count,
-        spacing=args.spacing,
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        output_format=args.format,
-        output_path=args.output,
-    )
 
 
 def main(argv=None):
@@ -520,8 +498,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rc = _run_config(args)
-        return _DISPATCH[args.command](args, rc)
+        return _DISPATCH[args.command](args)
     except AccuracyError as exc:
         print(f"error: accuracy contract not met: {exc}", file=sys.stderr)
         return 3

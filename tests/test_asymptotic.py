@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from klbessel import asymptotic
+from klbessel import asymptotic, cli
 from klbessel.asymptotic import (
     expansion_report,
     leading_term,
@@ -12,8 +12,6 @@ from klbessel.asymptotic import (
     remainder_bound,
     remainder_explicit,
     remainder_measured,
-    report_csv_header,
-    report_csv_row,
     stirling_r_gamma,
     stirling_r_integral,
 )
@@ -220,7 +218,7 @@ def test_expansion_report_domain(cfg):
 
 def test_report_serialization(cfg):
     rep = expansion_report(EvaluationPoint(1.0, 5.0), 1, 1.0, 5.0, cfg)
-    header, row = report_csv_header(), report_csv_row(rep)
+    header, row = cli._EXPANSION_HEADER, cli._expansion_row(rep)
     assert len(header) == len(row)
     assert row[header.index("pass")] == "true"
     assert float(row[header.index("remainder_bound")]) == rep.remainder_bound

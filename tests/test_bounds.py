@@ -11,7 +11,6 @@ from klbessel.bounds import (
     all_default_descriptors,
     catalog_ids,
     certify_bound,
-    default_descriptor,
     default_grid,
     evaluate_bound,
     kernel_grid_values,
@@ -152,7 +151,7 @@ def test_measure_c_and_eq_1_6_work_stays_bounded(monkeypatch):
 def test_catalog_is_complete():
     assert len(catalog_ids()) == 17
     for bound_id in catalog_ids():
-        d = default_descriptor(bound_id)
+        d = make_descriptor(bound_id)
         assert d.id == bound_id
         assert evaluate_bound(d, POINT_1_1) > 0.0
 
@@ -260,7 +259,7 @@ def test_whole_catalog_certifies_on_small_grid(small_grid, kernel_cache):
 
 
 def test_certificate_flags_indeterminate_points(small_grid, kernel_cache):
-    d = default_descriptor("LEBEDEV_15")
+    d = make_descriptor("LEBEDEV_15")
     values = list(kernel_cache[0.0])
     values[5] = None  # emulate an accuracy failure at one grid point
     cert = certify_bound(d, small_grid, kernel_values=values)
@@ -280,7 +279,7 @@ def test_certificate_flags_indeterminate_points(small_grid, kernel_cache):
 
 
 def test_certify_rejects_kernel_values_not_matching_the_grid():
-    d = default_descriptor("LEBEDEV_15")
+    d = make_descriptor("LEBEDEV_15")
     grid = default_grid(5, 5)
     kv = kernel_grid_values(grid, 0.0)
     with pytest.raises(ValueError, match="3 kernel values for a grid of 25"):
@@ -291,7 +290,7 @@ def test_certify_rejects_kernel_values_not_matching_the_grid():
 
 def test_certify_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="empty"):
-        certify_bound(default_descriptor("LEBEDEV_15"), ())
+        certify_bound(make_descriptor("LEBEDEV_15"), ())
 
 
 @pytest.mark.parametrize("mu", sorted({d.order_mu for d in all_default_descriptors()}))
@@ -352,7 +351,7 @@ def test_catalog_json_round_trip():
 
 def test_certificate_json_round_trip(small_grid, kernel_cache):
     cert = certify_bound(
-        default_descriptor("MODIFIED_110"), small_grid, kernel_values=kernel_cache[0.0]
+        make_descriptor("MODIFIED_110"), small_grid, kernel_values=kernel_cache[0.0]
     )
     text = cli._json_text(cli._certificate_record(cert))
     doc = json.loads(text)

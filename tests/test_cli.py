@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import klbessel
-from klbessel import asymptotic
-from klbessel.cli import RunConfig, main
+from klbessel import asymptotic, bounds, cli
+from klbessel.cli import main
+from klbessel.quadrature import DEFAULT_CONFIG
 
 K_AT_1_1 = 0.28942803702599213
 
@@ -30,11 +32,20 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def flags(**values):
+    return [s for k, v in values.items() for s in (f"--{k.replace('_', '-')}", str(v))]
+
+
 class TestRunConfig:
+    """The run's shared flags, each validated by the subcommands that read it."""
+
     def test_defaults_are_valid(self):
-        rc = RunConfig(command="eval")
-        assert rc.spacing == "log"
-        assert rc.output_format == "csv"
+        args = cli.build_parser().parse_args(["certify", "--all"])
+        assert args.spacing == "log" and args.format == "csv"
+        assert cli._certify_grid(args) == bounds.default_grid()
+        assert cli._quad_config(args) == DEFAULT_CONFIG
+        args = cli.build_parser().parse_args(["asympt"])
+        assert cli._axis(args, "tau") == pytest.approx(np.geomspace(1.0, 40.0, 25), rel=1e-14)
 
     @pytest.mark.parametrize("kwargs", [
         dict(x_count=0),
@@ -45,21 +56,75 @@ class TestRunConfig:
         dict(spacing="cubic"),
         dict(abs_tol=0.0),
         dict(rel_tol=-1e-9),
-        dict(output_format="yaml"),
+        dict(format="yaml"),
         dict(tau_min=2.0, tau_max=1.0),
+        dict(x_max=math.nan),
+        dict(abs_tol=math.nan),
     ])
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            RunConfig(command="eval", **kwargs)
+    def test_invalid_parameters_rejected(self, capsys, kwargs):
+        # certify reads every shared flag
+        code, out, err = run(capsys, "certify", "--id", "LEBEDEV_15", *flags(**kwargs))
+        assert code == 2 and out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
 
-    def test_linear_grid_spacing(self):
-        rc = RunConfig(command="certify", spacing="linear",
-                       x_min=1.0, x_max=3.0, x_count=3,
-                       tau_min=1.0, tau_max=2.0, tau_count=2)
-        grid = rc.grid()
+    @pytest.mark.parametrize("kwargs", [
+        dict(tau_count=0),
+        dict(tau_min=math.nan),
+        dict(tau_min=3.0, tau_max=2.0),
+    ])
+    def test_asympt_tau_axis_rejected(self, capsys, kwargs):
+        code, out, err = run(capsys, "asympt", *flags(**kwargs))
+        assert code == 2 and out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+    def test_linear_grid_spacing(self, capsys):
+        code, out, _ = run(capsys, "certify", "--id", "LEBEDEV_15", "--spacing", "linear",
+                           *flags(x_min=1, x_max=3, x_count=3, tau_min=1, tau_max=2,
+                                  tau_count=2),
+                           "--format", "json")
+        assert code == 0
+        grid = json.loads(out)["grid"]
         assert len(grid) == 6
-        assert [p.x for p in grid[:3]] == [1.0, 2.0, 3.0]
-        assert grid[0].tau == 1.0 and grid[-1].tau == 2.0
+        assert [p["x"] for p in grid[:3]] == [1.0, 2.0, 3.0]
+        assert grid[0]["tau"] == 1.0 and grid[-1]["tau"] == 2.0
+
+    def test_linear_tau_axis(self, capsys):
+        code, out, _ = run(capsys, "asympt", "--spacing", "linear", "--tau-count", "4",
+                           "--tau-max", "4")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(r[1]) for r in rows] == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--x", "1", "--tau", "1", "--x-count", "3"),
+        ("identities", "--spacing", "log"),
+        ("summ", "--tau-min", "1"),
+        ("catalog", "--abs-tol", "1e-9"),
+        ("asympt", "--x-min", "1"),
+    ])
+    def test_flags_a_subcommand_does_not_read_are_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    def test_help_lists_the_flags_each_subcommand_reads(self, capsys):
+        out_flags = {"--help", "--format", "--output"}
+        tolerances = {"--abs-tol", "--rel-tol"}
+        tau_axis = {"--tau-min", "--tau-max", "--tau-count", "--spacing"}
+        expected = {
+            "eval": {"--x", "--tau", "--method", "--N"} | tolerances,
+            "certify": {"--id", "--all", "--nu", "--mu", "--delta", "--M", "--N", "--n",
+                        "--x-min", "--x-max", "--x-count"} | tau_axis | tolerances,
+            "asympt": {"--x", "--N", "--tau0", "--X"} | tau_axis | tolerances,
+            "identities": {"--id", "--x", "--tau"} | tolerances,
+            "summ": {"--x", "--a", "--s", "--psi1", "--psi2", "--b", "--schedule"} | tolerances,
+            "catalog": set(),
+        }
+        for command, own in expected.items():
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            assert set(re.findall(r"--[A-Za-z][\w-]*", out)) == own | out_flags, command
+        assert sum(len(own) + 2 for own in expected.values()) == 59
 
 
 class TestUsageErrors:
@@ -245,7 +310,7 @@ class TestAsympt:
         code, out, _ = run(capsys, "asympt", "--tau-count", "4")
         assert code == 0
         header, rows = parse_csv(out)
-        assert header == asymptotic.report_csv_header()
+        assert header == cli._EXPANSION_HEADER
         assert len(rows) == 4
         assert all(r[7] == "true" for r in rows)
         assert float(rows[0][1]) == 1.0 and float(rows[-1][1]) == pytest.approx(40.0)
@@ -410,7 +475,8 @@ class TestOutputAndEnvironment:
 
 
 # argv lists that once ended in a traceback, a ZeroDivisionError, a
-# silent pass with no ratio, or a minute of overflow warnings and exit 3
+# silent pass with no ratio, or a minute of overflow warnings and exit 3;
+# the last takes --n as a float and leaves the integer check to the catalog
 PROBES = (
     ("summ", "--s", "400"),
     ("summ", "--s", "121.3", "--a", "0.7"),
@@ -425,17 +491,16 @@ PROBES = (
     ("certify", "--id", "K1_115", "--nu", "inf"),
     ("asympt", "--x", "1", "--X", "900", "--tau0", "400", "--tau-min", "400",
      "--tau-max", "400", "--tau-count", "1"),
+    ("catalog", "--output", "/nonexistent/dir/x.csv"),
+    ("certify", "--id", "ITER_130", "--n", "2.5"),
 )
-PROBE_EXITS = (2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2)
+PROBE_EXITS = (2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 2, 2)
 
 
 def _sweep_argvs(rng, count):
     """``count`` argv lists over every subcommand, numeric flags log-uniform."""
     def lu(lo, hi):
         return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
-
-    def flags(**values):
-        return [s for k, v in values.items() for s in (f"--{k.replace('_', '-')}", repr(v))]
 
     def grid():
         x_min, tau_min = lu(1e-40, 1e3), lu(1e-12, 1e3)
@@ -447,7 +512,7 @@ def _sweep_argvs(rng, count):
         if rng.random() < 0.2:
             return ["--all", *grid()]
         bound_id = str(rng.choice(klbessel.catalog_ids()))
-        names = [k for k, _ in klbessel.default_descriptor(bound_id).params]
+        names = [k for k, _ in klbessel.make_descriptor(bound_id).params]
         values = {k: int(rng.integers(1, 3000)) if k in ("M", "N", "n") else lu(1e-4, 1e4)
                   for k in names}
         return ["--id", bound_id, *flags(**values), *grid()]

@@ -4,8 +4,9 @@ usage: python3 tools/cli_stdout_diff.py PARENT_DIR CHANGE_DIR
 
 Runs a fixed list of argv lists, `python -m klbessel ARGV` with
 ``PYTHONPATH=<dir>/src``, once in each checkout: every subcommand in CSV and
-in JSON, plus probes at the edges of the domains (parameters that overflow,
-bounds that underflow, values that are not finite).  For each argv it
+in JSON, the hand-built linear axes included, plus probes at the edges of
+the domains (parameters that overflow, bounds that underflow, values that
+are not finite, an output path that cannot be written).  For each argv it
 compares the stdout bytes, the exit code and the first line of stderr, and
 prints every argv that differs with both sides' exit code and first stderr
 line.  Where stdout differs, it says whether only the numbers in it differ
@@ -32,7 +33,9 @@ COMMANDS = (
     ("certify", "--id", "LEBEDEV_15") + SMALL,
     ("certify", "--id", "FAMILY_17", "--nu", "0.4", "--mu", "0.2") + SMALL,
     ("certify", "--all") + SMALL,
+    ("certify", "--id", "LEBEDEV_15", "--spacing", "linear") + SMALL,
     ("asympt", "--tau-count", "5"),
+    ("asympt", "--spacing", "linear", "--tau-count", "4"),
     ("asympt", "--x", "2", "--N", "0", "--tau0", "2", "--tau-min", "2", "--tau-count", "3"),
     ("identities",),
     ("summ",),
@@ -54,6 +57,7 @@ PROBES = (
      "--tau-max", "400", "--tau-count", "1"),
     ("eval", "--x", "1", "--tau", "1", "--abs-tol", "1e-300", "--rel-tol", "1e-30"),
     ("certify", "--id", "NO_SUCH_BOUND"),
+    ("catalog", "--output", "/nonexistent/dir/x.csv"),
 )
 ARGVS = tuple(c + f for c in COMMANDS for f in ((), ("--format", "json"))) + PROBES
 
