@@ -2,9 +2,11 @@
 
 Each catalog entry evaluates the right-hand side of one printed inequality,
 exactly as displayed, in log space (the sinh and gamma factors overflow
-float64 well inside the certification grid).  A grid certifier checks
-|K| <= bound pointwise against the kernel evaluators, and representation
-verifiers confirm the integral identities the bounds are derived from.
+float64 well inside the certification grid), on arrays of x and tau; the
+factors of the parameters alone are scalars, taken once a call.  A grid
+certifier checks |K| <= bound against the kernel evaluators with one
+formula call for the whole grid, and representation verifiers confirm the
+integral identities the bounds are derived from.
 """
 
 from __future__ import annotations
@@ -186,14 +188,15 @@ class BoundCertificate:
 
 
 # ---------------------------------------------------------------------------
-# log-space bound formulas
+# log-space bound formulas: x and tau are float arrays of one shape, and the
+# factors that depend only on the parameters are scalars, taken once a call
 
 def _lg(x):
     return float(_sp.gammaln(x))
 
 
 def _log_bound_lebedev_15(params, x, tau):
-    return _lg(0.25) - 0.5 * _LN2 - 0.25 * math.log(x) - 0.5 * log_sinh(math.pi * tau)
+    return _lg(0.25) - 0.5 * _LN2 - 0.25 * np.log(x) - 0.5 * log_sinh(math.pi * tau)
 
 
 def _log_bound_family_17(params, x, tau):
@@ -205,8 +208,8 @@ def _log_bound_family_17(params, x, tau):
         + _lg(0.5 * (nu + 1.5))
         + _lg(0.5 * (nu - 2.0 * mu + 0.5))
         - _lg(nu - mu + 1.0)
-        + float(_sp.loggamma(complex(nu - mu + 1.0, tau)).real)
-        + (mu - nu - 0.5) * math.log(x)
+        + _sp.loggamma(nu - mu + 1.0 + 1j * tau).real
+        + (mu - nu - 0.5) * np.log(x)
     )
 
 
@@ -215,8 +218,8 @@ def _log_bound_half_range_18(params, x, tau):
     return (
         _lg(nu + 0.5)
         - _lg(nu + 1.0)
-        + float(_sp.loggamma(complex(nu + 1.0, tau)).real)
-        - (nu + 0.5) * math.log(x)
+        + _sp.loggamma(nu + 1.0 + 1j * tau).real
+        - (nu + 0.5) * np.log(x)
     )
 
 
@@ -226,16 +229,16 @@ def _log_bound_olenko_19(params, x, tau):
 
 
 def _log_bound_modified_110(params, x, tau):
-    return 0.5 * (2.0 * math.log(math.pi) + math.log(tau) - math.log(x) - log_sinh(math.pi * tau))
+    return 0.5 * (2.0 * math.log(math.pi) + np.log(tau) - np.log(x) - log_sinh(math.pi * tau))
 
 
 def _log_bound_delta_111(params, x, tau):
     delta = params["delta"]
     return (
         _lg(delta)
-        - delta * math.log(x)
+        - delta * np.log(x)
         - _lg(delta + 0.5)
-        + float(_sp.loggamma(complex(0.5 + delta, tau)).real)
+        + _sp.loggamma(0.5 + delta + 1j * tau).real
     )
 
 
@@ -244,13 +247,13 @@ def _log_bound_mu_eq_nu_112(params, x, tau):
     return (
         _lg(0.5 * (nu + 1.5))
         + _lg(0.5 * (0.5 - nu))
-        + 0.5 * (math.log(tau) - _LN2 - math.log(x) - log_sinh(math.pi * tau))
+        + 0.5 * (np.log(tau) - _LN2 - np.log(x) - log_sinh(math.pi * tau))
     )
 
 
 def _log_bound_ls_113_114(params, x, tau):
     return 0.5 * (
-        2.0 * math.log(math.pi) + math.log(tau) - _LN2 - math.log(x) - log_sinh(math.pi * tau)
+        2.0 * math.log(math.pi) + np.log(tau) - _LN2 - np.log(x) - log_sinh(math.pi * tau)
     )
 
 
@@ -262,8 +265,8 @@ def _log_bound_k1_115(params, x, tau):
         + _lg(0.5 * (nu + 1.5))
         + _lg(0.5 * (nu - 1.5))
         - _lg(nu)
-        + float(_sp.loggamma(complex(nu, tau)).real)
-        + (0.5 - nu) * math.log(x)
+        + _sp.loggamma(nu + 1j * tau).real
+        + (0.5 - nu) * np.log(x)
     )
 
 
@@ -274,10 +277,10 @@ def _log_bound_via_116_117(params, x, tau):
         + math.log(_c_nu(nu))
         + _lg(0.5 * (nu + 1.5))
         + _lg(0.5 * (nu - 1.5))
-        - math.log(tau)
+        - np.log(tau)
         - _lg(nu)
-        + float(_sp.loggamma(complex(nu, tau)).real)
-        + (1.5 - nu) * math.log(x)
+        + _sp.loggamma(nu + 1j * tau).real
+        + (1.5 - nu) * np.log(x)
     )
 
 
@@ -289,15 +292,16 @@ def _log_bound_delta_118(params, x, tau):
         + math.log(_c_nu(nu))
         + _lg(0.5 * (3.0 + delta))
         + _lg(0.5 * delta)
-        - math.log(tau)
+        - np.log(tau)
         - _lg(nu)
-        + float(_sp.loggamma(complex(nu, tau)).real)
-        - delta * math.log(x)
+        + _sp.loggamma(nu + 1j * tau).real
+        - delta * np.log(x)
     )
 
 
-def _composite_126_bracket(delta, m_cap, n_cap, x, tau):
-    root_x = math.sqrt(x)
+def _log_bound_composite_126(params, x, tau):
+    delta, m_cap, n_cap = params["delta"], params["M"], params["N"]
+    root_x = np.sqrt(x)
     sum_n = sum(
         2.0 ** (2 * n - 1) * math.gamma(2 * n - 0.5) * _sp.beta(2 * n + 1.5, 2 * n - 0.5)
         for n in range(1, n_cap)
@@ -308,21 +312,17 @@ def _composite_126_bracket(delta, m_cap, n_cap, x, tau):
     )
     tail = 4.0 ** n_cap * math.gamma(2 * n_cap - 1.5) * _sp.beta(2 * n_cap - 1.5, 2 * n_cap + 0.5)
     tail += 4.0 ** (m_cap - 1) * math.gamma(2 * m_cap - 0.5) * _sp.beta(2 * m_cap - 0.5, 2 * m_cap + 1.5)
-    return (
-        2.0 / math.sqrt(math.pi * x) * (1.0 + 2.0 * tau) * (1.0 + tau) ** (-delta)
+    bracket = (
+        2.0 / np.sqrt(math.pi * x) * (1.0 + 2.0 * tau) * (1.0 + tau) ** (-delta)
         + 4.0 * root_x / math.sqrt(math.pi) * ((1.0 + tau) ** delta - 1.0)
         + 1.0
-        + 2.0 * LANDAU_B * math.sqrt(2.0 * x)
+        + 2.0 * LANDAU_B * np.sqrt(2.0 * x)
         * math.sqrt(1.0 + OLENKO_ALPHA + 0.3 * OLENKO_ALPHA ** 2)
         + 4.0 * root_x / math.pi * (sum_n + sum_m)
         + 2.0 * root_x / math.pi ** 2 * tail
     )
-
-
-def _log_bound_composite_126(params, x, tau):
-    bracket = _composite_126_bracket(params["delta"], params["M"], params["N"], x, tau)
     return 0.5 * (
-        math.log(math.pi) - math.log(tau) - log_sinh(math.pi * tau) + math.log(bracket)
+        math.log(math.pi) - np.log(tau) - log_sinh(math.pi * tau) + np.log(bracket)
     )
 
 
@@ -332,22 +332,14 @@ def _log_bound_iter_130(params, x, tau):
     return (
         _lg(0.5 * q)
         - (1.0 - q) * _LN2
-        - q * (0.5 * math.log(x) + log_sinh(2.0 ** (n - 1) * math.pi * tau))
+        - q * (0.5 * np.log(x) + log_sinh(2.0 ** (n - 1) * math.pi * tau))
     )
-
-
-def _log_bound_iter_128(params, x, tau):
-    return _log_bound_iter_130({"n": 2}, x, tau)
-
-
-def _log_bound_iter_129(params, x, tau):
-    return _log_bound_iter_130({"n": 3}, x, tau)
 
 
 def _log_bound_exp_decay_315(params, x, tau):
     delta = params["delta"]
     z = x * math.cos(delta)
-    return -delta * tau + math.log(_sp.k0e(z)) - z
+    return -delta * tau + np.log(_sp.k0e(z)) - z
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +497,13 @@ _CATALOG = {
         "x > 0, tau > 0; delta > 0, M >= 1, N >= 1", lambda p: 0.0,
     ),
     "ITER_128": _CatalogEntry(
-        "1.28", {}, _no_params, _log_bound_iter_128, "abs",
+        "1.28", {}, _no_params, lambda p, x, tau: _log_bound_iter_130({"n": 2}, x, tau),
+        "abs",
         "x > 0, tau > 0", lambda p: 0.0,
     ),
     "ITER_129": _CatalogEntry(
-        "1.29", {}, _no_params, _log_bound_iter_129, "abs",
+        "1.29", {}, _no_params, lambda p, x, tau: _log_bound_iter_130({"n": 3}, x, tau),
+        "abs",
         "x > 0, tau > 0", lambda p: 0.0,
     ),
     "ITER_130": _CatalogEntry(
@@ -562,14 +556,27 @@ def all_default_descriptors():
     return tuple(make_descriptor(i) for i in catalog_ids())
 
 
+def _bounds(d, x, tau):
+    """The bound on arrays ``x``, ``tau`` by one formula call: inf where it
+    overflows (everywhere if a parameter-only factor does), 0 where it underflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return np.exp(_CATALOG[d.id].log_bound(dict(d.params), x, tau))
+        except OverflowError:
+            return np.full(x.shape, math.inf)
+
+
 def evaluate_bound(d, p):
     """The right-hand side of the printed inequality at one point.
 
-    All gamma/sinh factors are assembled in log space and exponentiated
-    once, so the value stays finite and positive over the whole grid.
+    A one-point call of the array formulas `certify_bound` uses.  All
+    gamma/sinh factors are assembled in log space and exponentiated once.
+    Raises OverflowError where the bound overflows; 0.0 where it underflows.
     """
-    entry = _CATALOG[d.id]
-    return math.exp(entry.log_bound(dict(d.params), p.x, p.tau))
+    bound = float(_bounds(d, np.array([p.x]), np.array([p.tau]))[0])
+    if bound == math.inf:
+        raise OverflowError(f"{d.id} at x={p.x!r}, tau={p.tau!r} overflows float range")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -597,18 +604,14 @@ def kernel_grid_values(grid, order_mu, cfg=DEFAULT_CONFIG):
     return tuple(None if bad else complex(v) for v, bad in zip(values.tolist(), failed))
 
 
-def _extract_part(value, part):
-    if part == "abs":
-        return abs(value)
-    if part == "real_abs":
-        return abs(value.real)
-    if part == "imag_abs":
-        return abs(value.imag)
-    raise ValueError(f"unknown kernel part {part!r}")
+# the part of the kernel values each bound controls, by `kernel_part`
+_PARTS = {"abs": np.abs, "real_abs": lambda v: np.abs(v.real), "imag_abs": lambda v: np.abs(v.imag)}
 
 
 def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
     """Certify |K| <= bound pointwise over a grid.
+
+    One call of the entry's array formula gives the bound at every point.
 
     Parameters
     ----------
@@ -625,9 +628,11 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
         ``passed`` holds iff the worst ratio is <= 1 + RATIO_SLACK and no
         point is indeterminate.  A point is indeterminate, and excluded
         from the ratio, where its kernel evaluation failed its accuracy
-        contract or its bound leaves float range (underflows to 0 or
-        overflows).  ``max_ratio`` and ``worst_point`` are None where every
-        point is indeterminate.
+        contract (None) or its bound leaves float range (underflows to 0 or
+        overflows, at every point if a parameter-only factor does).
+        ``ratios`` are Python floats in grid order, ``worst_point`` is the
+        first point of the largest.  ``max_ratio`` and ``worst_point`` are
+        None where every point is indeterminate.
 
     Raises `ValueError` for an empty grid, or ``kernel_values`` of another
     length than the grid.
@@ -639,31 +644,22 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
         kernel_values = kernel_grid_values(grid, d.order_mu, cfg)
     if len(kernel_values) != len(grid):
         raise ValueError(f"{len(kernel_values)} kernel values for a grid of {len(grid)} points")
-    ratios = []
-    indeterminate = []
-    worst = None
-    worst_point = None
-    for p, kv in zip(grid, kernel_values):
-        try:
-            bound = evaluate_bound(d, p)
-        except OverflowError:
-            bound = math.inf
-        if kv is None or not 0.0 < bound < math.inf:
-            indeterminate.append(p)
-            continue
-        ratio = _extract_part(kv, d.kernel_part) / bound
-        ratios.append(ratio)
-        if worst is None or ratio > worst:
-            worst = ratio
-            worst_point = p
+    x = np.fromiter((p.x for p in grid), float, len(grid))
+    tau = np.fromiter((p.tau for p in grid), float, len(grid))
+    values = np.array(kernel_values, dtype=complex)  # None reads NaN
+    bound = _bounds(d, x, tau)
+    ok = ~np.isnan(values) & (bound > 0.0) & (bound < math.inf)
+    ratios = _PARTS[d.kernel_part](values[ok]) / bound[ok]
+    max_ratio = float(ratios.max()) if ratios.size else None
+    indeterminate = tuple(grid[i] for i in np.flatnonzero(~ok))
     return BoundCertificate(
         descriptor=d,
         grid=grid,
-        max_ratio=worst,
-        worst_point=worst_point,
-        passed=not indeterminate and worst <= 1.0 + RATIO_SLACK,
-        ratios=tuple(ratios),
-        indeterminate=tuple(indeterminate),
+        max_ratio=max_ratio,
+        worst_point=None if max_ratio is None else grid[np.flatnonzero(ok)[np.argmax(ratios)]],
+        passed=not indeterminate and max_ratio <= 1.0 + RATIO_SLACK,
+        ratios=tuple(ratios.tolist()),
+        indeterminate=indeterminate,
     )
 
 

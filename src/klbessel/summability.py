@@ -31,6 +31,7 @@ from scipy import special as _sp
 
 from .kernel import _checked_contour, _defseries_scaled, _defseries_values
 from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, panel_sums, phase_edges
+from .special import log_sinh
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -224,10 +225,6 @@ def _log_cosh_arr(y):
     return y - _LN2 + np.log1p(np.exp(-2.0 * y))
 
 
-def _log_sinh_arr(y):
-    return y - _LN2 + np.log1p(-np.exp(-2.0 * y))
-
-
 def _exp_in_range(logs, cap):
     """e^logs for an array; OverflowError where an element exceeds e^cap."""
     if np.max(logs) > cap:
@@ -285,7 +282,7 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
         if use1:
             out = out + psi1(t) * _exp_in_range(base + _log_cosh_arr(c * t), cap)
         if use2:
-            out = out + psi2(t) * t * _exp_in_range(base + _log_sinh_arr(c * t), cap)
+            out = out + psi2(t) * t * _exp_in_range(base + log_sinh(c * t), cap)
         return out
 
     tmax = _tau_cut(s, a, eps, psi1, psi2, -math.log(cfg.truncation_threshold))
@@ -371,7 +368,7 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
         if use1:
             out = out + q.psi1(t) * np.exp(base + _log_cosh_arr(c * t))
         if use2:
-            out = out + q.psi2(t) * t * np.exp(base + _log_sinh_arr(c * t))
+            out = out + q.psi2(t) * t * np.exp(base + log_sinh(c * t))
         return out
 
     def phase_fn(t):

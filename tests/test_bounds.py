@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -276,6 +277,75 @@ def test_certificate_flags_indeterminate_points(small_grid, kernel_cache):
     far = default_grid(2, 2, 0.01, 100.0, 500.0, 600.0)
     cert = certify_bound(d, far)
     assert not cert.passed and cert.indeterminate == far
+
+
+def _pointwise_certificate(d, grid, values):
+    """(ratios, worst point, indeterminate points) with `evaluate_bound`
+    taken at one point at a time, as the certificate reads them."""
+    ratios, kept, indeterminate = [], [], []
+    for p, kv in zip(grid, values):
+        try:
+            bound = evaluate_bound(d, p)
+        except OverflowError:
+            bound = math.inf
+        if kv is None or not 0.0 < bound < math.inf:
+            indeterminate.append(p)
+            continue
+        part = {"abs": abs(kv), "real_abs": abs(kv.real), "imag_abs": abs(kv.imag)}
+        ratios.append(part[d.kernel_part] / bound)
+        kept.append(p)
+    worst = kept[ratios.index(max(ratios))] if ratios else None
+    return ratios, worst, tuple(indeterminate)
+
+
+def test_grid_certificate_matches_the_bound_point_by_point():
+    # the array formulas over a whole grid against one-point calls, on a
+    # window wide enough that some bounds underflow (EXP_DECAY_315 at
+    # large x) and sinh(pi tau) is nearly pi tau
+    grid = default_grid(12, 12, 1e-6, 1e3, 1e-4, 200.0)
+    mus = sorted({d.order_mu for d in all_default_descriptors()})
+    values = {mu: kernel_grid_values(grid, mu) for mu in mus}
+    seen_indeterminate = False
+    for d in all_default_descriptors():
+        kv = values[d.order_mu]
+        cert = certify_bound(d, grid, kernel_values=kv)
+        ratios, worst, indeterminate = _pointwise_certificate(d, grid, kv)
+        assert cert.ratios == pytest.approx(ratios, rel=1e-15, abs=0.0), d.id
+        assert cert.worst_point == worst and cert.indeterminate == indeterminate, d.id
+        # Python floats: the CSV prints repr(max_ratio)
+        assert type(cert.max_ratio) is float and all(type(r) is float for r in cert.ratios)
+        assert type(cert.passed) is bool
+        seen_indeterminate |= bool(indeterminate)
+    assert seen_indeterminate
+
+
+# pyproject.toml turns warnings into errors: an overflow the certificate
+# masks as indeterminate must stay silent
+@pytest.mark.parametrize(("bound_id", "params"), [
+    ("COMPOSITE_126", dict(M=200, N=200)),  # Gamma(2M - 1/2) overflows
+    ("ITER_130", dict(n=2000)),  # 2^(n - 1) overflows
+])
+def test_parameter_overflow_makes_every_point_indeterminate(
+        bound_id, params, small_grid, kernel_cache):
+    d = make_descriptor(bound_id, **params)
+    cert = certify_bound(d, small_grid, kernel_values=kernel_cache[0.0])
+    assert not cert.passed and cert.indeterminate == small_grid and cert.ratios == ()
+    assert cert.max_ratio is None and cert.worst_point is None
+    with pytest.raises(OverflowError):
+        evaluate_bound(d, POINT_1_1)
+
+
+def test_point_dependent_overflow_is_indeterminate_where_it_happens(small_grid, kernel_cache):
+    # (1 + tau)^1000 leaves float range from tau of about 1.03 on
+    d = make_descriptor("COMPOSITE_126", delta=1000.0)
+    cert = certify_bound(d, small_grid, kernel_values=kernel_cache[0.0])
+    over = tuple(p for p in small_grid
+                 if 1000.0 * math.log1p(p.tau) > math.log(sys.float_info.max))
+    assert 0 < len(over) < len(small_grid)
+    assert not cert.passed and cert.indeterminate == over
+    assert len(cert.ratios) == len(small_grid) - len(over)
+    with pytest.raises(OverflowError):
+        evaluate_bound(d, over[0])
 
 
 def test_certify_rejects_kernel_values_not_matching_the_grid():

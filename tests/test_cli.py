@@ -493,8 +493,12 @@ PROBES = (
      "--tau-max", "400", "--tau-count", "1"),
     ("catalog", "--output", "/nonexistent/dir/x.csv"),
     ("certify", "--id", "ITER_130", "--n", "2.5"),
+    ("certify", "--id", "LEBEDEV_15", "--tau-min", "1e-300", "--tau-max", "1e-200",
+     "--x-count", "2", "--tau-count", "2"),
+    ("certify", "--id", "COMPOSITE_126", "--delta", "1000", "--x-count", "3",
+     "--tau-count", "3"),
 )
-PROBE_EXITS = (2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 2, 2)
+PROBE_EXITS = (2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 2, 2, 0, 1)
 
 
 def _sweep_argvs(rng, count):

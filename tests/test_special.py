@@ -88,3 +88,23 @@ def test_log_sinh():
         assert math.isclose(log_sinh(y), math.log(math.sinh(y)), rel_tol=1e-14)
     # no overflow far beyond the float64 sinh range
     assert math.isclose(log_sinh(5000.0), 5000.0 - math.log(2.0), rel_tol=1e-15)
+
+
+def test_log_sinh_keeps_its_digits_near_zero():
+    # log sinh y = log y + y^2/6 + O(y^4), where 1 - e^{-2y} cancels
+    for y in (1e-8, 1e-12, 1e-300):
+        assert math.isclose(log_sinh(y), math.log(y) + y * y / 6.0, rel_tol=1e-15), y
+    # both sides of the switch at 2y = log 2
+    for y in np.nextafter(0.5 * math.log(2.0), [0.0, 1.0]):
+        assert math.isclose(log_sinh(y), math.log(math.sinh(y)), rel_tol=1e-15)
+
+
+def test_log_sinh_on_arrays():
+    ys = np.array([1e-300, 1e-8, 0.3, 0.5 * math.log(2.0), 1.0, 10.0, 5000.0])
+    got = log_sinh(ys)
+    assert got.shape == ys.shape
+    assert all(got[i] == log_sinh(float(y)) for i, y in enumerate(ys))
+    with pytest.raises(ValueError):
+        log_sinh(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        log_sinh(math.nan)

@@ -6,7 +6,8 @@ Runs a fixed list of argv lists, `python -m klbessel ARGV` with
 ``PYTHONPATH=<dir>/src``, once in each checkout: every subcommand in CSV and
 in JSON, the hand-built linear axes included, plus probes at the edges of
 the domains (parameters that overflow, bounds that underflow, values that
-are not finite, an output path that cannot be written).  For each argv it
+are not finite, taus so small that sinh(pi tau) is pi tau to the
+last digit, an output path that cannot be written).  For each argv it
 compares the stdout bytes, the exit code and the first line of stderr, and
 prints every argv that differs with both sides' exit code and first stderr
 line.  Where stdout differs, it says whether only the numbers in it differ
@@ -58,6 +59,9 @@ PROBES = (
     ("eval", "--x", "1", "--tau", "1", "--abs-tol", "1e-300", "--rel-tol", "1e-30"),
     ("certify", "--id", "NO_SUCH_BOUND"),
     ("catalog", "--output", "/nonexistent/dir/x.csv"),
+    ("certify", "--id", "LEBEDEV_15", "--tau-min", "1e-300", "--tau-max", "1e-200",
+     "--x-count", "2", "--tau-count", "2"),
+    ("certify", "--id", "COMPOSITE_126", "--delta", "1000") + SMALL,
 )
 ARGVS = tuple(c + f for c in COMMANDS for f in ((), ("--format", "json"))) + PROBES
 
