@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .kernel import _KEYFORMULA_BUDGET, EvaluationPoint, _series_and_remainder
+from .kernel import _KEYFORMULA_BUDGET, EvaluationPoint, _depth, _series_and_remainder
 from .kernel import k_itau_oracle, natural_scale
 from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, phase_edges
 
@@ -128,8 +128,8 @@ def stirling_r_integral(tau, cfg=DEFAULT_CONFIG):
     1/2 - 1/t up to 5e-18, so the tail is the exact exponential-integral
     pair (1/2) E_1(i tau T) - E_2(i tau T)/T.
     """
-    if tau < 0.5:
-        raise ValueError("tau must be at least 0.5")
+    if not 0.5 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and at least 0.5, got {tau!r}")
 
     def f(t):
         return np.exp(-1j * tau * t) * _binet_integrand(t)
@@ -163,12 +163,10 @@ def remainder_explicit(p, N, cfg=DEFAULT_CONFIG):
     integral term; S_N and T_N are shared with the series evaluator of the
     kernel, the identity behind both, and so is its refusal: `AccuracyError`
     where the bracket's roundoff floor exceeds the budget 1e-8 of the
-    natural scale.
+    natural scale.  N must be an integer in [0, 20] (else `ValueError`).
     """
-    if not 0 <= N <= 20:
-        raise ValueError("N must lie in [0, 20]")
+    s_n, t_n = _series_and_remainder(p.x, p.tau, _depth(N), cfg)
     r = stirling_r_gamma(p.tau)
-    s_n, t_n = _series_and_remainder(p.x, p.tau, N, cfg)
     return (cmath.exp(1j * phase(p)) * (r + (1.0 + r) * (s_n + t_n))).real
 
 
@@ -192,8 +190,9 @@ def remainder_bound(tau, tau0, X, N):
         raise ValueError("tau must be at least tau0")
     if not X > 0.0:
         raise ValueError("X must be positive")
-    if N < 0:
-        raise ValueError("N must be non-negative")
+    if not (N >= 0 and N % 1 == 0):
+        raise ValueError("N must be a non-negative integer")
+    N = int(N)
     a = math.exp(1.0 / (6.0 * tau0)) / 6.0
     try:
         bracket = math.exp(X * X / (4.0 * tau0))

@@ -21,6 +21,7 @@ from scipy import special as _sp
 from .kernel import EvaluationPoint, _checked_contour, contour_values, k_itau_oracle
 from .quadrature import (
     DEFAULT_CONFIG,
+    TRUNCATION,
     averaged_tail,
     integrate,
     panel_sums,
@@ -107,14 +108,14 @@ def measure_c(nu, x_max=3000.0):
     Parameters
     ----------
     nu : float
-        Order, nu >= -1/2.
+        Order, finite and nu >= -1/2.
     x_max : float
-        Scan limit, at least 100.
+        Scan limit, finite and at least 100.
     """
-    if nu < -0.5:
-        raise ValueError("measure_c requires nu >= -1/2")
-    if x_max < 100.0:
-        raise ValueError("x_max must be at least 100")
+    if not -0.5 <= nu < math.inf:
+        raise ValueError(f"measure_c requires a finite nu >= -1/2, got {nu!r}")
+    if not 100.0 <= x_max < math.inf:
+        raise ValueError(f"x_max must be finite and at least 100, got {x_max!r}")
     n = int(x_max * _STEP_DENSITY)
     if nu >= 0.5:
         first = 1
@@ -191,12 +192,8 @@ class BoundCertificate:
 # log-space bound formulas: x and tau are float arrays of one shape, and the
 # factors that depend only on the parameters are scalars, taken once a call
 
-def _lg(x):
-    return float(_sp.gammaln(x))
-
-
 def _log_bound_lebedev_15(params, x, tau):
-    return _lg(0.25) - 0.5 * _LN2 - 0.25 * np.log(x) - 0.5 * log_sinh(math.pi * tau)
+    return _sp.gammaln(0.25) - 0.5 * _LN2 - 0.25 * np.log(x) - 0.5 * log_sinh(math.pi * tau)
 
 
 def _log_bound_family_17(params, x, tau):
@@ -205,9 +202,9 @@ def _log_bound_family_17(params, x, tau):
     return (
         (nu - mu - 1.0) * _LN2
         + math.log(_c_nu(nu))
-        + _lg(0.5 * (nu + 1.5))
-        + _lg(0.5 * (nu - 2.0 * mu + 0.5))
-        - _lg(nu - mu + 1.0)
+        + _sp.gammaln(0.5 * (nu + 1.5))
+        + _sp.gammaln(0.5 * (nu - 2.0 * mu + 0.5))
+        - _sp.gammaln(nu - mu + 1.0)
         + _sp.loggamma(nu - mu + 1.0 + 1j * tau).real
         + (mu - nu - 0.5) * np.log(x)
     )
@@ -216,8 +213,8 @@ def _log_bound_family_17(params, x, tau):
 def _log_bound_half_range_18(params, x, tau):
     nu = params["nu"]
     return (
-        _lg(nu + 0.5)
-        - _lg(nu + 1.0)
+        _sp.gammaln(nu + 0.5)
+        - _sp.gammaln(nu + 1.0)
         + _sp.loggamma(nu + 1.0 + 1j * tau).real
         - (nu + 0.5) * np.log(x)
     )
@@ -235,9 +232,9 @@ def _log_bound_modified_110(params, x, tau):
 def _log_bound_delta_111(params, x, tau):
     delta = params["delta"]
     return (
-        _lg(delta)
+        _sp.gammaln(delta)
         - delta * np.log(x)
-        - _lg(delta + 0.5)
+        - _sp.gammaln(delta + 0.5)
         + _sp.loggamma(0.5 + delta + 1j * tau).real
     )
 
@@ -245,8 +242,8 @@ def _log_bound_delta_111(params, x, tau):
 def _log_bound_mu_eq_nu_112(params, x, tau):
     nu = params["nu"]
     return (
-        _lg(0.5 * (nu + 1.5))
-        + _lg(0.5 * (0.5 - nu))
+        _sp.gammaln(0.5 * (nu + 1.5))
+        + _sp.gammaln(0.5 * (0.5 - nu))
         + 0.5 * (np.log(tau) - _LN2 - np.log(x) - log_sinh(math.pi * tau))
     )
 
@@ -262,9 +259,9 @@ def _log_bound_k1_115(params, x, tau):
     return (
         (nu - 2.0) * _LN2
         + math.log(_c_nu(nu))
-        + _lg(0.5 * (nu + 1.5))
-        + _lg(0.5 * (nu - 1.5))
-        - _lg(nu)
+        + _sp.gammaln(0.5 * (nu + 1.5))
+        + _sp.gammaln(0.5 * (nu - 1.5))
+        - _sp.gammaln(nu)
         + _sp.loggamma(nu + 1j * tau).real
         + (0.5 - nu) * np.log(x)
     )
@@ -275,10 +272,10 @@ def _log_bound_via_116_117(params, x, tau):
     return (
         (nu - 2.0) * _LN2
         + math.log(_c_nu(nu))
-        + _lg(0.5 * (nu + 1.5))
-        + _lg(0.5 * (nu - 1.5))
+        + _sp.gammaln(0.5 * (nu + 1.5))
+        + _sp.gammaln(0.5 * (nu - 1.5))
         - np.log(tau)
-        - _lg(nu)
+        - _sp.gammaln(nu)
         + _sp.loggamma(nu + 1j * tau).real
         + (1.5 - nu) * np.log(x)
     )
@@ -290,10 +287,10 @@ def _log_bound_delta_118(params, x, tau):
     return (
         (delta - 0.5) * _LN2
         + math.log(_c_nu(nu))
-        + _lg(0.5 * (3.0 + delta))
-        + _lg(0.5 * delta)
+        + _sp.gammaln(0.5 * (3.0 + delta))
+        + _sp.gammaln(0.5 * delta)
         - np.log(tau)
-        - _lg(nu)
+        - _sp.gammaln(nu)
         + _sp.loggamma(nu + 1j * tau).real
         - delta * np.log(x)
     )
@@ -330,7 +327,7 @@ def _log_bound_iter_130(params, x, tau):
     n = params["n"]
     q = 2.0 ** (-n)
     return (
-        _lg(0.5 * q)
+        _sp.gammaln(0.5 * q)
         - (1.0 - q) * _LN2
         - q * (0.5 * np.log(x) + log_sinh(2.0 ** (n - 1) * math.pi * tau))
     )
@@ -677,14 +674,21 @@ def _tail_by_averaging(f, start, period, count=64):
     return value
 
 
+def _head_and_tail(f, x, tau, cut, cfg):
+    """The real part of int_0^inf f: panels along the phase 2xy + 2 tau asinh(y)
+    up to ``cut``, then half periods pi/(2x) summed by `_tail_by_averaging`."""
+    edges = phase_edges(lambda y: 2.0 * x * y + 2.0 * tau * np.arcsinh(y), 0.0, cut)
+    head = float(np.real(integrate(f, edges, cfg)))
+    return head + float(np.real(_tail_by_averaging(f, cut, 0.5 * math.pi / x)))
+
+
 def _verify_eq_1_27(p, cfg):
     # squared kernel as an integral of the kernel at doubled index:
     # K^2_{i tau}(x) = 2 int_1^inf K_{2 i tau}(2 x y) / sqrt(y^2 - 1) dy,
     # smooth after y = cosh(w).
     x, tau = p.x, p.tau
     lhs = k_itau_oracle(p, cfg) ** 2
-    budget = math.log(1.0 / cfg.truncation_threshold)
-    w_max = math.acosh(1.0 + budget / (2.0 * x)) + 1.0
+    w_max = math.acosh(1.0 + math.log(1.0 / TRUNCATION) / (2.0 * x)) + 1.0
 
     def f(w):
         # libm's cosh: numpy's differs in the last bit at about a fifth of
@@ -708,11 +712,8 @@ def _verify_eq_1_4(p, cfg):
         u = np.asarray(u, dtype=float)
         return _sp.j0(2.0 * x * u) * np.sin(2.0 * tau * np.arcsinh(u)) / np.sqrt(1.0 + u * u)
 
-    u0 = max(40.0 / x, 30.0)
-    edges = phase_edges(lambda u: 2.0 * x * u + 2.0 * tau * np.arcsinh(u), 0.0, u0)
-    head = float(np.real(integrate(f, edges, cfg)))
-    tail = float(np.real(_tail_by_averaging(f, u0, 0.5 * math.pi / x)))
-    rhs = math.pi * math.exp(-log_sinh(math.pi * tau)) * (head + tail)
+    integral = _head_and_tail(f, x, tau, max(40.0 / x, 30.0), cfg)
+    rhs = math.pi * math.exp(-log_sinh(math.pi * tau)) * integral
     return abs(lhs - rhs) / (abs(lhs) + 1e-300)
 
 
@@ -730,11 +731,7 @@ def _verify_eq_1_21(p, cfg):
         y = np.asarray(y, dtype=float)
         return _sp.j1(2.0 * x * y) * np.cos(2.0 * tau * np.arcsinh(y))
 
-    y0 = 200.0 / x
-    edges = phase_edges(lambda y: 2.0 * x * y + 2.0 * tau * np.arcsinh(y), 0.0, y0)
-    head = float(np.real(integrate(f, edges, cfg)))
-    tail = float(np.real(_tail_by_averaging(f, y0, 0.5 * math.pi / x)))
-    rhs = 1.0 - 2.0 * x * (head + tail)
+    rhs = 1.0 - 2.0 * x * _head_and_tail(f, x, tau, 200.0 / x, cfg)
     return abs(lhs - rhs) / (abs(lhs) + 1e-300)
 
 

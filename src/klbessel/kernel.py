@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special as _sp
 
-from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, phase_edges, refinement_verdict
+from .quadrature import (AccuracyError, DEFAULT_CONFIG, MAX_REFINEMENTS, TRUNCATION, integrate,
+                         phase_edges, refinement_verdict)
 
 __all__ = [
     "EvaluationPoint",
@@ -77,8 +78,11 @@ def natural_scale(tau):
     """The magnitude scale sqrt(2 pi / tau) e^{-pi tau / 2} of K_{i tau}.
 
     Accuracy statements for large tau are quoted relative to this scale,
-    since the kernel itself underflows any fixed relative target.
+    since the kernel itself underflows any fixed relative target.  ``tau``
+    must be finite and positive (else `ValueError`).
     """
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"natural_scale needs a finite positive tau, got {tau!r}")
     return math.sqrt(2.0 * math.pi / tau) * math.exp(-0.5 * math.pi * tau)
 
 
@@ -200,7 +204,7 @@ def _trapezoid(f, width, n0, cfg, dtype):
 
     Row r starts at n0[r] intervals (n0[r] = 0: value 0, error 0, no nodes);
     rows not yet accepted by `refinement_verdict` (roundoff scale h sum|f|)
-    get midpoints added, at most ``max_refinements`` times.  Returns
+    get midpoints added, at most `MAX_REFINEMENTS` (8) times.  Returns
     ``(value, err)``: NaN where refused or not converged, and each row's
     last error estimate.
     """
@@ -211,7 +215,7 @@ def _trapezoid(f, width, n0, cfg, dtype):
         h = width[rows] / n
         total, mass = _row_sums(f, rows, h, np.arange(1.0, n + 1.0), dtype)
         total, mass = h * (0.5 + total), h * (0.5 + mass)
-        for _ in range(cfg.max_refinements):
+        for _ in range(MAX_REFINEMENTS):
             h = 0.5 * h
             mid, mid_mass = _row_sums(f, rows, h, np.arange(1.0, 2 * n, 2.0), dtype)
             cur, mass = 0.5 * total + h * mid, 0.5 * mass + h * mid_mass
@@ -277,7 +281,7 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
         raise ValueError("x and tau must be finite and positive, and mu finite")
     theta = _contour_angles(x, tau)
     c, s = x * np.cos(theta), x * np.sin(theta)
-    u_max = _cosh_cut(c, abs(mu), math.log(1.0 / cfg.truncation_threshold))
+    u_max = _cosh_cut(c, abs(mu), math.log(1.0 / TRUNCATION))
     need = u_max * (tau + s * np.cosh(u_max) + abs(mu)) / (2.0 * math.pi)
     big = np.flatnonzero(need > 512.0)  # phase-rate starts of 1024 intervals and up
     if big.size:
@@ -427,8 +431,7 @@ def _remainder_integral(x, tau, N, cfg):
     log_bound = (2 * N + 2) * math.log(x) - N * math.log(2.0) + math.log(g_far / (2 * N + 2))
     if log_bound - sum(math.log(math.hypot(k, tau)) for k in range(1, N + 1)) < math.log(_EPS):
         return 0j
-    budget = math.log(1.0 / cfg.truncation_threshold)
-    v_max = (budget + max(0.0, math.log(g_far))) / (2.0 * N + 2.0)
+    v_max = (math.log(1.0 / TRUNCATION) + max(0.0, math.log(g_far))) / (2.0 * N + 2.0)
     rising = math.prod((1 - 1j * tau + k for k in range(N)), start=complex(1.0))  # (1 - i tau)_N
     prefactor = x ** (2 * N + 2) / (2.0 ** N * rising)
     need = _KEYFORMULA_BUDGET / (_gamma_over_scale(tau) * abs(prefactor))
@@ -461,6 +464,13 @@ def _series_and_remainder(x, tau, N, cfg):
     return series, remainder
 
 
+def _depth(N):
+    """The truncation depth N as an int; ValueError unless an integer in [0, 20]."""
+    if N not in range(21):
+        raise ValueError("N must be an integer in [0, 20]")
+    return int(N)
+
+
 def k_itau_keyformula(p, N, cfg=DEFAULT_CONFIG):
     """K_{i tau}(x) from the series-plus-remainder key formula.
 
@@ -482,7 +492,7 @@ def k_itau_keyformula(p, N, cfg=DEFAULT_CONFIG):
     ----------
     p : EvaluationPoint
     N : int
-        Truncation depth, 0 <= N <= 20.
+        Truncation depth, an integer in [0, 20].
     cfg : QuadratureConfig
 
     Raises
@@ -492,10 +502,8 @@ def k_itau_keyformula(p, N, cfg=DEFAULT_CONFIG):
         roundoff floor exceeds the budget; ``achieved`` carries the floor
         relative to the natural scale.
     """
-    if N < 0 or N != int(N) or N > 20:
-        raise ValueError("N must be an integer in [0, 20]")
     x, tau = p.x, p.tau
-    series, remainder = _series_and_remainder(x, tau, int(N), cfg)
+    series, remainder = _series_and_remainder(x, tau, _depth(N), cfg)
     prefactor = cmath.exp(_sp.loggamma(1j * tau) - 1j * tau * math.log(0.5 * x))
     return (prefactor * (1.0 + series + remainder)).real
 

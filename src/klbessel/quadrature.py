@@ -38,36 +38,31 @@ class AccuracyError(Exception):
         self.achieved = achieved
 
 
+# panel-halving rounds `integrate` and the kernel's trapezoid rule allow
+MAX_REFINEMENTS = 8
+# magnitude below which a semi-infinite tail is cut
+TRUNCATION = 1e-18
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits shared by every quadrature in the package.
+    """The tolerances shared by every quadrature in the package.
 
-    Attributes
-    ----------
-    abs_tol, rel_tol : float
-        Convergence is declared when the error estimate is within
-        ``abs_tol + rel_tol * |value|``.  The estimate is the difference
-        between two refinement levels, floored at the roundoff scale
-        ``8 * eps * sum(|panel sums|)`` of the finer level; a tolerance below
-        that floor can never be met and raises `AccuracyError`.
-    max_refinements : int
-        Number of panel-halving rounds allowed before giving up.
-    truncation_threshold : float
-        Magnitude below which a semi-infinite tail is cut.
+    Convergence is declared when the error estimate is within ``abs_tol +
+    rel_tol * |value|``.  The estimate is the difference between two
+    refinement levels, floored at the roundoff scale ``8 * eps *
+    sum(|panel sums|)`` of the finer level; a tolerance below that floor can
+    never be met and raises `AccuracyError`.  The number of refinement
+    rounds (`MAX_REFINEMENTS`, 8) and the tail cut (`TRUNCATION`, 1e-18) are
+    fixed.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-11
-    max_refinements: int = 8
-    truncation_threshold: float = 1e-18
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
-        if not (self.truncation_threshold > 0.0):
-            raise ValueError("truncation_threshold must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -135,7 +130,7 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
     ------
     AccuracyError
         If the error estimate does not fall within ``abs_tol + rel_tol *
-        |value|`` after ``max_refinements`` rounds, or at once when the
+        |value|`` after `MAX_REFINEMENTS` (8) rounds, or at once when the
         levels agree to within the roundoff floor and the floor alone
         misses the tolerance (halving cannot shrink the absolute panel
         sum, so no later round could succeed).  ``achieved`` carries the
@@ -143,7 +138,7 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
     """
     edges = np.asarray(edges, dtype=float)
     prev = np.sum(panel_sums(f, edges))
-    for _ in range(cfg.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         edges = _halved(edges)
         sums = panel_sums(f, edges)
         cur = np.sum(sums)

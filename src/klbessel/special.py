@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .quadrature import DEFAULT_CONFIG, integrate
+from .quadrature import DEFAULT_CONFIG, TRUNCATION, integrate
 
 __all__ = ["bessel_k0", "log_sinh"]
 
@@ -40,8 +40,7 @@ def bessel_k0(x, cfg=DEFAULT_CONFIG):
     """
     if not x > 0.0:
         raise ValueError("bessel_k0 requires x > 0")
-    budget = math.log(1.0 / cfg.truncation_threshold)
-    t_max = math.acosh(1.0 + budget / x) + 1.0
+    t_max = math.acosh(1.0 + math.log(1.0 / TRUNCATION) / x) + 1.0
     edges = np.linspace(0.0, t_max, 17)
     val = integrate(lambda t: np.exp(-x * np.cosh(t)), edges, cfg)
     return float(val.real)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .kernel import _checked_contour, _defseries_scaled, _defseries_values
-from .quadrature import AccuracyError, DEFAULT_CONFIG, integrate, panel_sums, phase_edges
+from .quadrature import AccuracyError, DEFAULT_CONFIG, TRUNCATION, integrate, panel_sums, phase_edges
 from .special import log_sinh
 
 __all__ = [
@@ -189,8 +189,8 @@ class SummabilityReport:
 # closed forms
 
 def _check_sa(s, a):
-    if not s > 0.0:
-        raise ValueError("s must be positive")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be finite and positive, got {s!r}")
     if not 0.0 <= a < 0.5 * math.pi:
         raise ValueError("a must lie in [0, pi/2)")
 
@@ -236,12 +236,24 @@ def _psi_growth(psi1, psi2, tau):
     return math.log1p(psi1.abs_envelope(tau) + tau * psi2.abs_envelope(tau))
 
 
-def _tau_cut(s, a, eps, psi1, psi2, budget):
-    """Index past which e^{-eps tau^2 - (pi/2 - a) tau} kills the integrand."""
-    decay = 0.5 * math.pi - a
+def _kl_weight(psi1, psi2, a, t, base, exp):
+    """e^base [psi1 cosh((pi/2+a)t) + psi2 t sinh((pi/2+a)t)] on an array t,
+    each term one ``exp`` of base plus the log of its hyperbolic factor."""
+    c = 0.5 * math.pi + a
+    out = np.zeros_like(t)
+    if not psi1.is_zero:
+        out = out + psi1(t) * exp(base + _log_cosh_arr(c * t))
+    if not psi2.is_zero:
+        out = out + psi2(t) * t * exp(base + log_sinh(c * t))
+    return out
+
+
+def _tau_cut(decay, power, eps, psi1, psi2, budget):
+    """Index past which e^{-eps tau^2 - decay tau} kills an integrand that
+    grows like tau^power times the psi envelope."""
     tau = 30.0
     for _ in range(4):
-        need = budget + 15.0 + (s + 1.0) * math.log1p(tau) + _psi_growth(psi1, psi2, tau)
+        need = budget + 15.0 + power * math.log1p(tau) + _psi_growth(psi1, psi2, tau)
         if eps > 0.0:
             tau = (-decay + math.sqrt(decay * decay + 4.0 * eps * need)) / (2.0 * eps)
         else:
@@ -267,25 +279,17 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
     2 eps tmax + pi/2 - a on [0, tmax], at least 24.
     """
     _check_sa(s, a)
-    if eps < 0.0:
-        raise ValueError("eps must be non-negative")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     if psi1.is_zero and psi2.is_zero:
         return 0.0
-    c = 0.5 * math.pi + a
-    use1 = not psi1.is_zero
-    use2 = not psi2.is_zero
 
     def f(t):
         t = np.asarray(t, dtype=float)
         base = -eps * t * t + 2.0 * np.real(_sp.loggamma(s + 1j * t))
-        out = np.zeros_like(t)
-        if use1:
-            out = out + psi1(t) * _exp_in_range(base + _log_cosh_arr(c * t), cap)
-        if use2:
-            out = out + psi2(t) * t * _exp_in_range(base + log_sinh(c * t), cap)
-        return out
+        return _kl_weight(psi1, psi2, a, t, base, lambda v: _exp_in_range(v, cap))
 
-    tmax = _tau_cut(s, a, eps, psi1, psi2, -math.log(cfg.truncation_threshold))
+    tmax = _tau_cut(0.5 * math.pi - a, s + 1.0, eps, psi1, psi2, -math.log(TRUNCATION))
     cap = _LOG_MAX - math.log1p(tmax)  # so that the panel sums over [0, tmax] stay finite
     per_nat = max(24, int((2.0 * eps * tmax + 0.5 * math.pi - a) * tmax))
     edges = np.union1d(np.arange(0.0, min(tmax, 8.0), 0.5), np.linspace(0.0, tmax, per_nat + 1))
@@ -353,38 +357,20 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
     tolerance below that floor raises AccuracyError; with the default
     tolerances a^2/(4 eps) must stay below about 10.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if q.psi1.is_zero and q.psi2.is_zero:
         return 0.0
     x, a = q.x, q.a
-    c = 0.5 * math.pi + a
-    use1 = not q.psi1.is_zero
-    use2 = not q.psi2.is_zero
-
-    def weight(t):
-        base = -eps * t * t - 0.5 * math.pi * t
-        out = np.zeros_like(t)
-        if use1:
-            out = out + q.psi1(t) * np.exp(base + _log_cosh_arr(c * t))
-        if use2:
-            out = out + q.psi2(t) * t * np.exp(base + log_sinh(c * t))
-        return out
-
-    def phase_fn(t):
-        return t * np.log(2.0 * np.maximum(t, 1e-12) / (math.e * x))
-
     # envelope: e^{-eps tau^2 + a tau} times the bounded scaled kernel
-    budget = -math.log(cfg.truncation_threshold) + 15.0
-    tmax = 30.0
-    for _ in range(4):
-        need = budget + _psi_growth(q.psi1, q.psi2, tmax)
-        tmax = (a + math.sqrt(a * a + 4.0 * eps * need)) / (2.0 * eps)
+    tmax = _tau_cut(-a, 0.0, eps, q.psi1, q.psi2, -math.log(TRUNCATION))
 
     def f(t):
-        return weight(t) * _scaled_kernel(x, t, cfg)
+        base = -eps * t * t - 0.5 * math.pi * t
+        return _kl_weight(q.psi1, q.psi2, a, t, base, np.exp) * _scaled_kernel(x, t, cfg)
 
-    return float(integrate(f, phase_edges(phase_fn, 0.0, tmax), cfg))
+    edges = phase_edges(lambda t: t * np.log(2.0 * np.maximum(t, 1e-12) / (math.e * x)), 0.0, tmax)
+    return float(integrate(f, edges, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +382,23 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG, width=1.0):
     ``g`` is called once per node array, as `integrate` calls its
     integrand, and must return an array of the same shape or a scalar,
     which is broadcast.  Evaluated on the log axis x = e^w, from
-    w = (log(truncation_threshold) - 5)/s, where x^s is negligible, to
-    w = log(budget + 5 s) + 1/2, where e^{-x} is, in panels at most
-    ``width`` wide (at least 8 panels); an oscillating g needs a width of
-    a fraction of its period in log x.  The upper end then marches outward
-    in panels of that width until a panel is negligible against the sum of
-    the panels before it, so integrands whose decay rate e^{-(1-sin a)x} is
-    much slower than e^{-x} are still covered.  That sum is formed only if
-    the first outward panel is not already below the truncation threshold
-    alone, so an integrand that needs no march costs one panel more than
-    its quadrature.  Where g leaves float range (an OverflowError or a
-    value that is not finite) the march ends.
+    w = (log(TRUNCATION) - 5)/s, where x^s is negligible (`TRUNCATION`
+    = 1e-18), to w = log(log(1/TRUNCATION) + 5 s) + 1/2, where e^{-x} is,
+    in panels at most ``width`` wide (at least 8 panels); an oscillating g
+    needs a width of a fraction of its period in log x.  The upper end then
+    marches outward in panels of that width until a panel is negligible
+    against the sum of the panels before it, so integrands whose decay rate
+    e^{-(1-sin a)x} is much slower than e^{-x} are still covered.  That sum
+    is formed only if the first outward panel is not already below
+    `TRUNCATION` alone, so an integrand that needs no march costs one panel
+    more than its quadrature.  Where g leaves float range (an OverflowError
+    or a value that is not finite) the march ends.  ``s`` and ``width`` must
+    be finite and positive (else `ValueError`).
     """
-    if not s > 0.0:
-        raise ValueError("s must be positive")
-    budget = -math.log(cfg.truncation_threshold)
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be finite and positive, got {s!r}")
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"width must be finite and positive, got {width!r}")
 
     def f(w):
         w = np.asarray(w, dtype=float)
@@ -421,8 +409,8 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG, width=1.0):
             raise OverflowError("g leaves float range")
         return vals * np.exp(s * w - xs)
 
-    w_lo = (math.log(cfg.truncation_threshold) - 5.0) / s
-    w_hi = math.log(budget + 5.0 * s) + 0.5
+    w_lo = (math.log(TRUNCATION) - 5.0) / s
+    w_hi = math.log(-math.log(TRUNCATION) + 5.0 * s) + 0.5
     n = max(8, int(math.ceil((w_hi - w_lo) / width)))
     edges = list(np.linspace(w_lo, w_hi, n + 1))
     total = None
@@ -433,11 +421,11 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG, width=1.0):
             # g itself left float range; by the integrability contract the
             # true tail out there is negligible against e^{-x}
             break
-        if abs(panel) <= cfg.truncation_threshold:
+        if abs(panel) <= TRUNCATION:
             break
         if total is None:
             total = float(np.sum(panel_sums(f, np.array(edges))))
-        if abs(panel) <= cfg.truncation_threshold * (abs(total) + 1.0):
+        if abs(panel) <= TRUNCATION * (abs(total) + 1.0):
             break
         edges.append(edges[-1] + width)
         total += panel
@@ -501,8 +489,7 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
         xs = np.fromiter(map(math.exp, w), float, w.size)
         return _checked_contour(xs, 2.0 * tau, 0.0, cfg) * np.exp(2.0 * s * w)
 
-    budget = -math.log(cfg.truncation_threshold)
-    w_hi = math.log(budget + 10.0 * s)
+    w_hi = math.log(-math.log(TRUNCATION) + 10.0 * s)
     width = min(0.5, math.pi / (4.0 * tau + 1.0))
     n = max(8, int(math.ceil((w_hi - w_cut) / width)))
     numeric = integrate(f, np.linspace(w_cut, w_hi, n + 1), cfg)

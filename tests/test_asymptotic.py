@@ -78,6 +78,12 @@ def test_stirling_r_integral_domain(cfg):
         stirling_r_integral(0.4, cfg)
 
 
+@pytest.mark.parametrize("tau", [math.inf, math.nan])
+def test_stirling_r_integral_refuses_non_finite_tau(tau, cfg):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        stirling_r_integral(tau, cfg)
+
+
 def test_leading_term_pin():
     got = leading_term(EvaluationPoint(1.0, 10.0))
     assert math.isclose(got, LEADING_AT_1_10, rel_tol=1e-12)
@@ -141,6 +147,11 @@ def test_explicit_rejects_bad_order(cfg):
         remainder_explicit(EvaluationPoint(1.0, 1.0), 21, cfg)
 
 
+def test_explicit_rejects_a_fractional_order(cfg):
+    with pytest.raises(ValueError, match="integer"):
+        remainder_explicit(EvaluationPoint(1.0, 2.0), 1.5, cfg)
+
+
 def test_remainder_bound_pin():
     got = remainder_bound(10.0, 1.0, 5.0, 2)
     assert math.isclose(got, BOUND_PIN, rel_tol=1e-12)
@@ -166,6 +177,13 @@ def test_remainder_bound_domain():
         remainder_bound(1.0, 1.0, 0.0, 1)
     with pytest.raises(ValueError):
         remainder_bound(1.0, 1.0, 5.0, -1)
+
+
+def test_remainder_bound_rejects_a_fractional_order():
+    for N in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integer"):
+            remainder_bound(2.0, 1.0, 5.0, N)
+    assert remainder_bound(2.0, 1.0, 5.0, 2.0) == remainder_bound(2.0, 1.0, 5.0, 2)
 
 
 def test_remainder_bound_refuses_where_not_finite():
@@ -214,6 +232,11 @@ def test_expansion_report_domain(cfg):
         expansion_report(EvaluationPoint(6.0, 5.0), 1, 1.0, 5.0, cfg)
     with pytest.raises(ValueError):
         expansion_report(EvaluationPoint(1.0, 0.5), 1, 1.0, 5.0, cfg)
+
+
+def test_expansion_report_rejects_a_fractional_order(cfg):
+    with pytest.raises(ValueError, match="integer"):
+        expansion_report(EvaluationPoint(1.0, 2.0), 1.5, 1.0, 5.0, cfg)
 
 
 def test_report_serialization(cfg):

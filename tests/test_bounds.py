@@ -82,6 +82,14 @@ def test_measure_c_pins_and_domination():
         measure_c(1.0, x_max=50.0)
 
 
+@pytest.mark.parametrize("nu, x_max", [(math.nan, 3000.0), (math.inf, 3000.0),
+                                        (1.0, math.nan), (1.0, math.inf)])
+def test_measure_c_refuses_non_finite_input(nu, x_max):
+    name = "nu" if x_max == 3000.0 else "x_max"
+    with pytest.raises(ValueError, match=name):
+        measure_c(nu, x_max)
+
+
 def _polished_full_scan(nu, x_max, step_density=40):
     """Reference sup over (0, x_max]: every local maximum of the full scan
     that lies within 1e-3 of its best sample (the scan's sampling error is

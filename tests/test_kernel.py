@@ -121,6 +121,12 @@ def test_natural_scale():
     assert math.isclose(natural_scale(tau), want, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_natural_scale_refuses_outside_its_domain(tau):
+    with pytest.raises(ValueError, match="tau"):
+        natural_scale(tau)
+
+
 @pytest.mark.parametrize("key", sorted(ORACLE_PINS))
 def test_oracle_pins(cfg, key):
     x, tau = key

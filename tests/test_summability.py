@@ -256,6 +256,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             fn(1.0, 0.5 * math.pi)
 
+    @pytest.mark.parametrize("fn", [closed_cosh, closed_sinh])
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_non_finite_s_is_refused(self, fn, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            fn(s, 0.0)
+
 
 # ---------------------------------------------------------------------------
 # tau-side integrals
@@ -336,6 +342,12 @@ class TestMellinPair:
     def test_domain(self, cfg):
         with pytest.raises(ValueError):
             mellin_pair(lambda x: 1.0, 0.0, cfg)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_width_must_be_finite_and_positive(self, width, cfg):
+        # width 0 divided by zero and width -1 returned 1.1e-16 for 1
+        with pytest.raises(ValueError, match="width"):
+            mellin_pair(lambda x: 1.0, 1.0, cfg, width=width)
 
 
 class TestMellinKIdentity:
@@ -701,6 +713,14 @@ class TestFEpsilon:
     def test_requires_positive_eps(self, cfg):
         with pytest.raises(ValueError):
             f_epsilon(SummabilityQuery(), 0.0, cfg)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_eps_is_refused_by_name(self, eps, cfg):
+        # the tau cut came out NaN and failed as "cannot convert float NaN"
+        with pytest.raises(ValueError, match="eps must be finite"):
+            f_epsilon(SummabilityQuery(), eps, cfg)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            tau_integral_rhs(1.0, 0.0, eps, PSI_ONE, PSI_ZERO, cfg)
 
 
 # ---------------------------------------------------------------------------

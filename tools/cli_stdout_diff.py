@@ -41,6 +41,7 @@ COMMANDS = (
     ("identities",),
     ("summ",),
     ("summ", "--psi1", "cos", "--a", "0.3", "--schedule", "1e-1,1e-2,1e-3"),
+    ("summ", "--psi1", "zero", "--psi2", "one", "--a", "0.3"),
     ("catalog",),
 )
 PROBES = (
@@ -62,6 +63,7 @@ PROBES = (
     ("certify", "--id", "LEBEDEV_15", "--tau-min", "1e-300", "--tau-max", "1e-200",
      "--x-count", "2", "--tau-count", "2"),
     ("certify", "--id", "COMPOSITE_126", "--delta", "1000") + SMALL,
+    ("asympt", "--N", "21"),
 )
 ARGVS = tuple(c + f for c in COMMANDS for f in ((), ("--format", "json"))) + PROBES
 
