@@ -182,7 +182,7 @@ def remainder_bound(tau, tau0, X, N):
     the exponential term is kept; reports therefore check N = 0 runs
     against the N = 1 bound.  ValueError names X and tau0 where the bound
     is not a finite number (X^2/tau0 of a few thousand, or I_N(X) past
-    float range from X of about 700).
+    float range from X of about 700), and X and N where X^N underflows.
     """
     if not tau0 > 0.0:
         raise ValueError("tau0 must be positive")
@@ -203,6 +203,8 @@ def remainder_bound(tau, tau0, X, N):
         bound = (a + (tau0 + a) * bracket) / tau
     except OverflowError:
         bound = math.inf
+    except ZeroDivisionError:
+        raise ValueError(f"X**N underflows in the remainder bound at X={X!r}, N={N!r}") from None
     if not math.isfinite(bound):
         raise ValueError(f"the remainder bound is not finite at X={X!r}, tau0={tau0!r}")
     return bound
@@ -211,8 +213,9 @@ def remainder_bound(tau, tau0, X, N):
 def expansion_report(p, N, tau0, X, cfg=DEFAULT_CONFIG):
     """Evaluate the expansion at one point and check it against the bound.
 
-    The measured remainder is recovered from the same kernel value that is
-    reported, so ``leading + scale * remainder_measured == k_value`` holds
+    The measured remainder is read off the oracle's value, and ``k_value``
+    is reported as ``leading + scale * remainder_measured`` (within an ulp
+    of the natural scale of the oracle's value), so that identity holds
     exactly.  N = 0 is checked against the N = 1 bound.
 
     Raises `AccuracyError` where the explicit and measured remainders
@@ -221,9 +224,8 @@ def expansion_report(p, N, tau0, X, cfg=DEFAULT_CONFIG):
     """
     if not (p.x <= X and tau0 <= p.tau <= _MEASURED_TAU_MAX):
         raise ValueError(f"point must satisfy x <= X and tau0 <= tau <= {_MEASURED_TAU_MAX:g}")
-    scale = natural_scale(p.tau)
-    k_value = k_itau_oracle(p, cfg)
-    measured = k_value / scale - math.cos(phase(p))
+    scale, leading = natural_scale(p.tau), leading_term(p)
+    measured = k_itau_oracle(p, cfg) / scale - math.cos(phase(p))
     explicit = remainder_explicit(p, N, cfg)
     if not abs(explicit - measured) <= _KEYFORMULA_BUDGET:
         raise AccuracyError(f"explicit remainder disagrees with the measured one at {p}, N={N}",
@@ -234,8 +236,8 @@ def expansion_report(p, N, tau0, X, cfg=DEFAULT_CONFIG):
         N=N,
         tau0=tau0,
         X=X,
-        leading=leading_term(p),
-        k_value=k_value,
+        leading=leading,
+        k_value=leading + scale * measured,
         remainder_measured=measured,
         remainder_explicit=explicit,
         remainder_bound=bound,

@@ -193,6 +193,13 @@ def test_remainder_bound_refuses_where_not_finite():
             remainder_bound(tau, tau0, X, N)
 
 
+def test_remainder_bound_refuses_where_x_to_the_n_underflows():
+    # X^N and I_N(X) both underflow to 0, so the bound's N-term is 0/0
+    for tau, X, N in ((2.0, 0.5, 2000), (5.0, 1e-20, 20), (1.0, 1e-200, 3)):
+        with pytest.raises(ValueError, match=f"X={X!r}, N={N!r}"):
+            remainder_bound(tau, 1.0, X, N)
+
+
 def test_explicit_refuses_below_its_roundoff_floor(cfg):
     # at tiny tau the bracket 1 + S_N + T_N cancels past the 1e-8 budget
     for x, tau, N, floor in ((14.637066639721958, 2.317550220143447e-11, 1, 4.4e-6),
@@ -210,6 +217,20 @@ def test_expansion_report_verdicts(cfg):
 def test_expansion_report_exact_consistency(cfg):
     rep = expansion_report(EvaluationPoint(1.0, 5.0), 1, 1.0, 5.0, cfg)
     assert rep.leading + natural_scale(5.0) * rep.remainder_measured == rep.k_value
+
+
+def test_expansion_report_identity_holds_on_a_grid(cfg):
+    # the docstring's identity leading + scale * remainder_measured ==
+    # k_value at every point, not only where the oracle's value happens to
+    # round back, with k_value still the oracle's value to an ulp of the scale
+    for x in np.geomspace(0.1, 5.0, 9):
+        for tau in np.geomspace(1.0, 40.0, 9):
+            p = EvaluationPoint(float(x), float(tau))
+            oracle = k_itau_oracle(p, cfg)
+            for N in (1, 2, 3):
+                rep = expansion_report(p, N, 1.0, 5.0, cfg)
+                assert rep.leading + natural_scale(p.tau) * rep.remainder_measured == rep.k_value, (p, N)
+                assert abs(rep.k_value - oracle) <= 1e-15 * natural_scale(p.tau), (p, N)
 
 
 def test_expansion_report_zero_order_uses_next_bound(cfg):

@@ -7,7 +7,11 @@ For each seed in A..B, `perfbench/run.py --workload W --seed N --seconds S`
 runs once in each checkout, the side that goes first alternating from pair
 to pair so that a drift of the machine's speed falls on both sides alike.
 Each run is a fresh process started in its own checkout, so each side
-benchmarks its own source.  Standard library only.
+benchmarks its own source.  Make both checkouts fresh copies side by side in
+one directory (git archive or git clone of each commit): figures move with a
+checkout's location as well as its code, and an A/A run of identical code
+from two different places read +1-3% `wall_s`.  A warning goes to stderr
+when the two do not share a parent directory.  Standard library only.
 
 The output file gets one entry per workload (an existing file keeps the
 entries of other workloads): per side, the median, quartiles and IQR of
@@ -84,6 +88,9 @@ def main(argv=None):
     p.add_argument("--out", required=True, help="the JSON file, BENCH_<n>.json by convention")
     args = p.parse_args(argv)
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    if len({os.path.dirname(d) for d in dirs.values()}) > 1:
+        print("warning: PARENT_DIR and CHANGE_DIR are not side by side in one directory;"
+              " their figures may differ by location alone", file=sys.stderr)
 
     pairs, machines = [], {}
     for i, seed in enumerate(args.seeds):
