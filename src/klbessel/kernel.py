@@ -3,8 +3,8 @@
 Three independent routes are provided for K_{i tau}(x): a rotated-contour
 trapezoid oracle, a series-plus-remainder key formula (Gauss-Legendre panels
 for the remainder), and the definitional series through I_{+-i tau}.  They
-share no numerical machinery beyond the rule that accepts a refinement
-level, so pairwise agreement is a genuine cross-check.  The oracle and the
+share no numerical machinery beyond the roundoff floor a value is judged
+against, so pairwise agreement is a genuine cross-check.  The oracle and the
 complex-order evaluator are single points of one array evaluator,
 `contour_values`, which the package's quadratures also call once per node
 array.  The definitional series is one array core, `_defseries_scaled`,
@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special as _sp
 
-from .quadrature import (AccuracyError, DEFAULT_CONFIG, MAX_REFINEMENTS, TRUNCATION, integrate,
-                         phase_edges, refinement_verdict)
+from .quadrature import (AccuracyError, DEFAULT_CONFIG, ROUNDOFF_FLOOR, TRUNCATION, integrate,
+                         phase_edges)
 
 __all__ = [
     "EvaluationPoint",
@@ -93,13 +93,16 @@ _ANGLES = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
 _COS = np.cos(_ANGLES)
 _STRIDE = 16  # the coarse scan takes every 16th grid angle
 _COARSE = np.arange(0, _ANGLES.size, _STRIDE)
+_LATE = np.resize(np.arange(_COARSE[-1] + 1, _ANGLES.size), _COARSE.size - 1)  # past the last coarse
+_MAX_NODES = 1 << 20  # a row whose Poisson count exceeds this is refused
 
 
-def _log_k0(x, j):
-    """log K_0(x cos t), a row per x, at the grid angles t = _ANGLES[j]
+def _log_k(x, j, mu=0.0):
+    """log K_mu(x cos t), a row per x, at the grid angles t = _ANGLES[j]
     (j: one row shared by every x, or a row per x)."""
-    c = x[:, None] * _COS[j]
-    return np.log(_sp.k0e(c)) - c
+    z = x[:, None] * _COS[j]
+    k = _sp.k0e(z) if mu == 0.0 else _sp.k1e(z) if abs(mu) == 1.0 else _sp.kve(abs(mu), z)
+    return np.log(k) - z
 
 
 def _first(mask, start):
@@ -121,9 +124,10 @@ def _angle_search(x, tau):
     coarse angles, 33 angles around the coarse minimum and that cell's 16,
     find the angle of a scan of the whole grid at 81 `k0e` calls per point.
     Rows are taken in order of x, so a block evaluates the coarse pass once
-    per distinct x.
+    per distinct x.  Returns ``(theta, log_k0)``, log_k0 the coarse pass's
+    log K_0(x cos t), a row per point, which `_node_count` reuses.
     """
-    theta = np.empty(x.shape)
+    theta, log_k0 = np.empty(x.shape), np.empty((x.size, _COARSE.size))
     order = np.argsort(x, kind="stable")
     near_k, cell_k = np.arange(2 * _STRIDE + 1), np.arange(_STRIDE)
     rows = _BLOCK // 64  # the widest pass takes 33 angles per point
@@ -131,19 +135,20 @@ def _angle_search(x, tau):
         r = order[i:i + rows]
         xr, tr = x[r], tau[r, None]
         xs, which = np.unique(xr, return_inverse=True)
-        coarse = _log_k0(xs, _COARSE)[which] - tr * _ANGLES[_COARSE]
+        log_k0[r] = _log_k(xs, _COARSE)[which]
+        coarse = log_k0[r] - tr * _ANGLES[_COARSE]
         near = np.clip(_STRIDE * np.argmin(coarse, axis=1) - _STRIDE, 0, _ANGLES.size - near_k.size)
         j = near[:, None] + near_k
-        g_near = _log_k0(xr, j) - tr * _ANGLES[j]
+        g_near = _log_k(xr, j) - tr * _ANGLES[j]
         within = g_near.min(axis=1, keepdims=True) + 3.0
         cell = np.maximum(_STRIDE * np.argmax(coarse <= within, axis=1) - _STRIDE + 1, 0)
         j = cell[:, None] + cell_k
-        g_cell = _log_k0(xr, j) - tr * _ANGLES[j]
+        g_cell = _log_k(xr, j) - tr * _ANGLES[j]
         theta[r] = _ANGLES[np.minimum(_first(g_near <= within, near), _first(g_cell <= within, cell))]
-    return theta
+    return theta, log_k0
 
 
-# The last point set `_contour_angles` searched: ((x bytes, tau bytes), angles).
+# The last point set `_contour_angles` searched: ((x bytes, tau bytes), (angles, log_k0)).
 _last_angles = (None, None)
 
 
@@ -151,18 +156,19 @@ def _contour_angles(x, tau):
     """`_angle_search` on raveled float64 arrays, with a one-entry memo.
 
     The certification grid is searched once for all its orders.  The memo
-    holds the angles alone, 24 bytes a point with its key.  It is read once
-    and replaced whole, so under threads a caller never pairs its key with
-    another caller's angles; the returned array is read-only.
+    (280 bytes a point with its key) is read once and replaced whole, so
+    under threads a caller never pairs its key with another caller's
+    search; the returned arrays are read-only.
     """
     global _last_angles
     key = (x.tobytes(), tau.tobytes())
-    last_key, theta = _last_angles
+    last_key, search = _last_angles
     if last_key != key:
-        theta = _angle_search(x, tau)
-        theta.flags.writeable = False
-        _last_angles = (key, theta)
-    return theta
+        search = _angle_search(x, tau)
+        for a in search:
+            a.flags.writeable = False
+        _last_angles = (key, search)
+    return search
 
 
 def _cosh_cut(c, drift, budget):
@@ -173,19 +179,25 @@ def _cosh_cut(c, drift, budget):
     return u + 1.0
 
 
-def _poisson_count(x, tau, theta, c, u_max, mu, cfg):
-    """Per row, the Poisson count of `contour_values` before rounding up."""
-    t = _ANGLES[_COARSE[1:]]
-    xs, which = np.unique(x, return_inverse=True)
-    z = xs[:, None] * _COS[_COARSE[1:]]
-    k_mu = _sp.k0e(z) if mu == 0.0 else _sp.k1e(z) if abs(mu) == 1.0 else _sp.kve(mu, z)
-    log_k = (np.log(k_mu) - z)[which]
-    lead = c[:, None] + log_k + math.log(32.0 / cfg.abs_tol)
+def _node_count(x, tau, theta, c, u_max, mu, log_k0, log_target):
+    """Per row, the Poisson count of `contour_values`, at least 16, rounded
+    up to 8 steps per octave; inf above `_MAX_NODES` or unbounded."""
+    if mu == 0.0:
+        log_k = log_k0[:, 1:]
+    else:
+        xs, which = np.unique(x, return_inverse=True)
+        log_k = _log_k(xs, _COARSE[1:], mu)[which]
+    lead, t = log_k + (c - log_target)[:, None], _ANGLES[_COARSE[1:]]
+    past = theta >= _ANGLES[_COARSE[-1]]
+    if past.any():  # no coarse angle past theta: these rows take the grid angles past the last
+        t = np.where(past[:, None], _ANGLES[_LATE], t)
+        lead[past] = _log_k(x[past], _LATE, mu) + (c - log_target)[past, None]
     ahead = t - theta[:, None]
-    first = np.divide(lead, ahead, out=np.full(lead.shape, np.inf), where=ahead > 0.0)
-    second = np.maximum(lead / (t + theta[:, None]), 0.0)
-    omega = np.maximum(first.min(axis=1) - tau, second.min(axis=1) + tau)
-    return omega * u_max / (2.0 * math.pi)
+    first = np.divide(lead, ahead, out=np.full(lead.shape, np.inf), where=ahead > 0.0).min(axis=1)
+    omega = np.maximum(first - tau, np.maximum((lead / (t + theta[:, None])).min(axis=1), 0.0) + tau)
+    m, e = np.frexp(np.maximum(omega * u_max / (2.0 * math.pi), 16.0))
+    n = np.ldexp(np.ceil(16.0 * m), e - 4)
+    return np.where(n <= _MAX_NODES, n, np.inf)
 
 
 def _row_sums(f, rows, h, k, dtype):
@@ -199,33 +211,19 @@ def _row_sums(f, rows, h, k, dtype):
     return total, mass
 
 
-def _trapezoid(f, width, n0, cfg, dtype):
-    """Folded whole-line trapezoid rule for an even f, f(0) = 1, on [0, width[r]].
-
-    Row r starts at n0[r] intervals (n0[r] = 0: value 0, error 0, no nodes);
-    rows not yet accepted by `refinement_verdict` (roundoff scale h sum|f|)
-    get midpoints added, at most `MAX_REFINEMENTS` (8) times.  Returns
-    ``(value, err)``: NaN where refused or not converged, and each row's
-    last error estimate.
-    """
-    value = np.where(n0 == 0, 0.0, np.nan).astype(dtype)
-    err = np.where(n0 == 0, 0.0, np.inf)
-    for n in np.unique(n0[n0 > 0]):
-        rows = np.flatnonzero(n0 == n)
-        h = width[rows] / n
-        total, mass = _row_sums(f, rows, h, np.arange(1.0, n + 1.0), dtype)
-        total, mass = h * (0.5 + total), h * (0.5 + mass)
-        for _ in range(MAX_REFINEMENTS):
-            h = 0.5 * h
-            mid, mid_mass = _row_sums(f, rows, h, np.arange(1.0, 2 * n, 2.0), dtype)
-            cur, mass = 0.5 * total + h * mid, 0.5 * mass + h * mid_mass
-            err[rows], accepted, refused = refinement_verdict(cur, total, mass, cfg)
-            value[rows[accepted]] = cur[accepted]
-            go = ~(accepted | refused)
-            if not go.any():
-                break
-            rows, h, total, mass, n = rows[go], h[go], cur[go], mass[go], 2 * n
-    return value, err
+def _trapezoid(f, width, n, dtype):
+    """Folded whole-line trapezoid rule for an even f, f(0) = 1, one level
+    of n[r] intervals on [0, width[r]] per row r, the rows of one n summed
+    together: ``(integral, 8 eps h sum|f|)``, (0, 0) where n[r] = 0 and
+    NaNs where n[r] is inf."""
+    integral = np.where(n == 0, 0.0, np.nan).astype(dtype)
+    roundoff = np.where(n == 0, 0.0, np.nan)
+    for m in np.unique(n[(n > 0) & np.isfinite(n)]):
+        rows = np.flatnonzero(n == m)
+        h = width[rows] / m
+        total, mass = _row_sums(f, rows, h, np.arange(1.0, m + 1.0), dtype)
+        integral[rows], roundoff[rows] = h * (0.5 + total), ROUNDOFF_FLOOR * h * (0.5 + mass)
+    return integral, roundoff
 
 
 def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
@@ -244,11 +242,8 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
     cos(phi) cosh(mu u) + i sin(phi) sinh(mu u), each part times the
     damping e^{-c (cosh u - 1)}; a negative mu gives the conjugate bit for bit.
 
-    The integrand F is entire, even and doubly-exponentially decaying, so
-    the trapezoid rule converges geometrically and a halving reuses the old
-    nodes.  A point's analysis count is one node per period of the phase
-    rate tau + s cosh(u_max) + |mu| at the cut u_max; from 1024 intervals
-    up it is the Poisson count if that is smaller (Trefethen and Weideman,
+    The integrand F is entire, even and doubly-exponentially decaying, and
+    one trapezoid level of the Poisson count serves (Trefethen and Weideman,
     SIAM Rev. 56 (2014), sections 3, 5): the folded rule of step
     h = u_max/n errs by sum_{m>=1} F^(2 pi m/h), and shifting u by
     -/+ i theta in the Fourier transform F^ gives
@@ -257,42 +252,41 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
                         + e^{(tau-w) theta} |K_{mu+i(w-tau)}(x)|].
 
     Bound (3.15), |K_{mu+i nu}(x)| <= e^{-|nu| t} K_mu(x cos t), 0 <= t < pi/2,
-    puts the terms below abs_tol/32 once w >= L(t)/(t - theta) - tau for a
-    coarse t > theta and w >= tau + max(0, L(t')/(t' + theta)) for a t' > 0,
-    L(t) = c + log K_mu(x cos t) + log(32/abs_tol); the Poisson count is
-    w u_max/(2 pi).  A point starts one halving below its analysis count,
-    in a power of two of at least 16 intervals (from 8, (x, tau) = (1, 1)
-    needs a third halving), and `refinement_verdict` alone accepts a level:
-    the analysis count n where it agrees with the start, else one halving
-    on, for the 2n nodes a start at n took (607,712 nodes on the default
-    25x25 grid at the five catalog orders, against 1,073,248).  Fewer nodes
-    round the sum worse, about as 1/sqrt(n), and identities that divide by
-    |K| near its zeros see that, so below 1024 intervals the phase rate
-    stays.  Taking e^{-c} out keeps the integral near unit size, so no
-    tolerance is met by an integral that has simply underflowed.  As
-    |F(u)| <= e^{|mu| u} and the folded weights total below 2 u_max, a row
-    with log(2 u_max) + |mu| u_max - c - tau theta below log 2^{-1075}, half
-    the least subnormal, gets value 0 and error estimate 0 with no nodes:
-    its value rounds to zero (never inside the contract, where tau <= 50).
-    Accuracy is contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100; x and
-    tau must be finite and positive (else `ValueError`).  Returns
-    ``(values, achieved)``: values (real when mu = 0), NaN where the
-    accuracy contract was not met, and each integral's last error estimate.
+    puts the terms below a target T once w >= L(t)/(t - theta) - tau for a
+    grid angle t > theta and w >= tau + max(0, L(t')/(t' + theta)) for a
+    t' > 0, L(t) = c + log K_mu(x cos t) - log T (`_node_count`); the count
+    is w u_max/(2 pi).  T = abs_tol/1000 / max(1, e^{-c - tau theta} /
+    natural_scale(tau)) holds in the answer's units too.  A row is accepted
+    where its bound, T + 8 eps h sum|F| + 2 eps (1 + c + tau theta)
+    |integral| (the last term the rounding of the factor's argument), is
+    within abs_tol + rel_tol |integral|; the bound times e^{-c - tau theta}
+    is its ``achieved``.  A row with no count up to `_MAX_NODES` (2^20) is
+    refused (from tau of about 1250).  The default 25x25 grid at the five
+    catalog orders takes 390,994 nodes, and its values err by at most
+    4.8e-13 of max(natural scale, |K|), each within its ``achieved``
+    (`tools/contour_accuracy.py`).  Taking e^{-c} out keeps the integral
+    near unit size, so no tolerance is met by an integral that has simply
+    underflowed.  As |F(u)| <= e^{|mu| u} and the folded weights total below
+    2 u_max, a row with log(2 u_max) + |mu| u_max - c - tau theta below
+    log 2^{-1075}, half the least subnormal, gets 0 with no nodes (never
+    inside the contract, where tau <= 50).  Accuracy is contracted for
+    |mu| <= 3, tau <= 50, 0.01 <= x <= 100; x and tau must be finite and
+    positive (else `ValueError`).  Returns ``(values, achieved)``: values
+    (real when mu = 0), NaN where the accuracy contract was not met, and
+    each value's error bound (inf where it has none).
     """
     x, tau = (a.ravel() for a in np.broadcast_arrays(np.asarray(x, float), np.asarray(tau, float)))
     valid = np.isfinite(x) & (x > 0.0) & np.isfinite(tau) & (tau > 0.0)
     if not (np.all(valid) and math.isfinite(mu)):
         raise ValueError("x and tau must be finite and positive, and mu finite")
-    theta = _contour_angles(x, tau)
+    theta, log_k0 = _contour_angles(x, tau)
     c, s = x * np.cos(theta), x * np.sin(theta)
     u_max = _cosh_cut(c, abs(mu), math.log(1.0 / TRUNCATION))
-    need = u_max * (tau + s * np.cosh(u_max) + abs(mu)) / (2.0 * math.pi)
-    big = np.flatnonzero(need > 512.0)  # phase-rate starts of 1024 intervals and up
-    if big.size:
-        args = (a[big] for a in (x, tau, theta, c, u_max))
-        need[big] = np.fmin(need[big], _poisson_count(*args, mu=mu, cfg=cfg))
-    n0 = 2 ** np.ceil(np.log2(np.maximum(16.0, 0.5 * need))).astype(int)
-    n0[np.log(2.0 * u_max) + abs(mu) * u_max - c - tau * theta < -1075.0 * math.log(2.0)] = 0
+    log_factor = -c - tau * theta
+    excess = np.maximum(0.0, log_factor - 0.5 * np.log(2.0 * math.pi / tau) + 0.5 * math.pi * tau)
+    log_target = math.log(1e-3 * cfg.abs_tol) - excess  # T, abs_tol/1000 in the answer's units too
+    n = _node_count(x, tau, theta, c, u_max, mu, log_k0, log_target)
+    n[np.log(2.0 * u_max) + abs(mu) * u_max + log_factor < -1075.0 * math.log(2.0)] = 0
 
     def f(r, u):
         phi = tau[r, None] * u - s[r, None] * np.sinh(u)
@@ -305,14 +299,18 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
         out.imag = damp * np.sinh(mu * u) * np.sin(phi)
         return out
 
-    integral, achieved = _trapezoid(f, u_max, n0, cfg, float if mu == 0.0 else complex)
+    integral, roundoff = _trapezoid(f, u_max, n, float if mu == 0.0 else complex)
+    # the aliasing target, the sum's roundoff and the rounding of c + tau theta
+    bound = np.exp(log_target) + roundoff + 2.0 * _EPS * (1.0 - log_factor) * np.abs(integral)
+    accepted = bound <= cfg.abs_tol + cfg.rel_tol * np.abs(integral)
     phase = 1j * mu * theta if mu != 0.0 else 0.0
-    return np.exp(-c - tau * theta + phase) * integral, achieved
+    values = np.where(accepted, np.exp(log_factor + phase) * integral, np.nan)
+    return values, np.where(np.isnan(bound), np.inf, bound * np.exp(log_factor))
 
 
 def _checked_contour(x, tau, mu, cfg):
-    """`contour_values` without its error estimates, raising `AccuracyError`
-    (``achieved``: the worst failed estimate) if any value missed the tolerance."""
+    """`contour_values` without its error bounds, raising `AccuracyError`
+    (``achieved``: the worst failed bound) if any value missed the tolerance."""
     values, achieved = contour_values(x, tau, mu, cfg)
     failed = np.isnan(values)
     if failed.any():
@@ -324,7 +322,7 @@ def _checked_contour(x, tau, mu, cfg):
 def k_itau_oracle(p, cfg=DEFAULT_CONFIG):
     """K_{i tau}(x) at an `EvaluationPoint`: one point of `contour_values` at mu = 0.
 
-    Raises `AccuracyError` if the trapezoid refinement misses the tolerance.
+    Raises `AccuracyError` if the trapezoid misses the tolerance.
     """
     return float(_checked_contour(p.x, p.tau, 0.0, cfg)[0])
 
@@ -333,7 +331,7 @@ def k_complex_order(o, x, cfg=DEFAULT_CONFIG):
     """K_{mu + i tau}(x) for an `OrderSpec`: one point of `contour_values`.
 
     Contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100.  Raises
-    `AccuracyError` if the trapezoid refinement misses the tolerance.
+    `AccuracyError` if the trapezoid misses the tolerance.
     """
     return complex(_checked_contour(x, o.tau, o.mu, cfg)[0])
 

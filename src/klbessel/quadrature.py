@@ -5,10 +5,10 @@ sum of 16-point Gauss-Legendre panels.  Oscillatory integrands get their
 panel edges from the zero-crossing grid of a monotone phase majorant, so
 each panel sees at most one half-oscillation; smooth integrands get uniform
 edges.  Convergence is checked by halving every panel and comparing, which
-for analytic integrands gains ~2x digits per level.  The comparison
-(`refinement_verdict`, shared with the trapezoid rule) is floored at the
-roundoff of the panel sums, so a tolerance finer than double precision can
-certify is refused rather than met by two sums that happen to round alike.
+for analytic integrands gains ~2x digits per level.  The comparison is
+floored at the roundoff of the panel sums (`ROUNDOFF_FLOOR`, shared with
+the trapezoid rule), so a tolerance finer than double precision can certify
+is refused rather than met by two sums that happen to round alike.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
-# the error estimate never drops below _ROUNDOFF_FLOOR * sum(|panel sums|)
-_ROUNDOFF_FLOOR = 8.0 * np.finfo(float).eps
+# no error estimate drops below ROUNDOFF_FLOOR * sum(|terms|)
+ROUNDOFF_FLOOR = 8.0 * np.finfo(float).eps
 
 
 class AccuracyError(Exception):
@@ -38,7 +38,7 @@ class AccuracyError(Exception):
         self.achieved = achieved
 
 
-# panel-halving rounds `integrate` and the kernel's trapezoid rule allow
+# panel-halving rounds `integrate` allows
 MAX_REFINEMENTS = 8
 # magnitude below which a semi-infinite tail is cut
 TRUNCATION = 1e-18
@@ -49,12 +49,12 @@ class QuadratureConfig:
     """The tolerances shared by every quadrature in the package.
 
     Convergence is declared when the error estimate is within ``abs_tol +
-    rel_tol * |value|``.  The estimate is the difference between two
-    refinement levels, floored at the roundoff scale ``8 * eps *
-    sum(|panel sums|)`` of the finer level; a tolerance below that floor can
-    never be met and raises `AccuracyError`.  The number of refinement
-    rounds (`MAX_REFINEMENTS`, 8) and the tail cut (`TRUNCATION`, 1e-18) are
-    fixed.
+    rel_tol * |value|``.  In `integrate` the estimate is the difference
+    between two refinement levels, in the contour trapezoid an aliasing
+    bound; both are floored at the roundoff scale ``8 * eps * sum(|terms|)``
+    of the level, and a tolerance below that floor raises `AccuracyError`.
+    The refinement rounds (`MAX_REFINEMENTS`, 8) and the tail cut
+    (`TRUNCATION`, 1e-18) are fixed.
     """
 
     abs_tol: float = 1e-12
@@ -99,21 +99,13 @@ def _halved(edges):
     return out
 
 
-def refinement_verdict(cur, prev, abs_sum, cfg):
-    """Elementwise ``(err, accepted, refused)`` for a level ``cur`` after ``prev``.
-
-    ``err = max(|cur - prev|, 8 * eps * abs_sum)``, the change between
-    levels floored at the roundoff of ``abs_sum``, the absolute sum of the
-    terms (panel sums or weighted nodes) making up ``cur``.  ``accepted``
-    where ``err <= abs_tol + rel_tol * |cur|``; ``refused`` where not, though
-    the levels agree to within the floor: refinement cannot shrink
-    ``abs_sum``, so no later level could be accepted.
-    """
-    diff = np.abs(cur - prev)
-    floor = _ROUNDOFF_FLOOR * abs_sum
-    err = np.maximum(diff, floor)
-    accepted = err <= cfg.abs_tol + cfg.rel_tol * np.abs(cur)
-    return err, accepted, ~accepted & (diff <= floor)
+def _level(f, edges):
+    """Sum and absolute sum of the panel sums; `AccuracyError` if not finite."""
+    sums = panel_sums(f, edges)
+    mass = float(np.sum(np.abs(sums)))
+    if not np.isfinite(mass):
+        raise AccuracyError("quadrature level is not finite", achieved=np.inf)
+    return np.sum(sums), mass
 
 
 def integrate(f, edges, cfg=DEFAULT_CONFIG):
@@ -122,30 +114,32 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
     The initial edges must already resolve any oscillation of ``f`` (one
     half-period per panel or better); refinement then only polishes.
 
-    Each round halves every panel and judges the new level by
-    `refinement_verdict` over the panel sums, so two levels that agree bit
-    for bit certify no more than double precision can resolve.
+    Each round halves every panel.  Its error estimate is the change from
+    the level before, floored at the roundoff ``ROUNDOFF_FLOOR`` times the
+    absolute sum of the new panel sums, so two levels that agree bit for bit
+    certify no more than double precision can resolve.
 
     Raises
     ------
     AccuracyError
         If the error estimate does not fall within ``abs_tol + rel_tol *
-        |value|`` after `MAX_REFINEMENTS` (8) rounds, or at once when the
-        levels agree to within the roundoff floor and the floor alone
-        misses the tolerance (halving cannot shrink the absolute panel
-        sum, so no later round could succeed).  ``achieved`` carries the
-        last (floored) estimate.
+        |value|`` after `MAX_REFINEMENTS` (8) rounds; at once when a
+        level's sum is not finite, or when the levels agree to within the
+        roundoff floor and the floor alone misses the tolerance (halving
+        cannot shrink the absolute panel sum, so no later round could
+        succeed).  ``achieved`` carries the last (floored) estimate, inf
+        for a level that is not finite.
     """
     edges = np.asarray(edges, dtype=float)
-    prev = np.sum(panel_sums(f, edges))
+    prev, _ = _level(f, edges)
     for _ in range(MAX_REFINEMENTS):
         edges = _halved(edges)
-        sums = panel_sums(f, edges)
-        cur = np.sum(sums)
-        err, accepted, refused = refinement_verdict(cur, prev, float(np.sum(np.abs(sums))), cfg)
-        if accepted:
+        cur, mass = _level(f, edges)
+        diff, floor = abs(cur - prev), ROUNDOFF_FLOOR * mass
+        err = max(diff, floor)
+        if err <= cfg.abs_tol + cfg.rel_tol * abs(cur):
             return cur
-        if refused:
+        if diff <= floor:
             raise AccuracyError("tolerance is below the roundoff floor", achieved=float(err))
         prev = cur
     raise AccuracyError("quadrature did not converge", achieved=float(err))

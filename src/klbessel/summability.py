@@ -354,14 +354,19 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
     e^{a^2/(4 eps)}, while the oscillating integral stays of order one,
     so no error estimate falls below about 8 eps_mach e^{a^2/(4 eps)}:
     1e-5 at a = 0.3, eps = 1e-3 and 2.5e12 at a = 0.5, eps = 1e-3.  A
-    tolerance below that floor raises AccuracyError; with the default
-    tolerances a^2/(4 eps) must stay below about 10.
+    tolerance below that floor raises AccuracyError (a^2/(4 eps) must stay
+    below about 10 at the defaults), before any quadrature and naming a and
+    eps where it exceeds abs_tol + rel_tol 1000-fold.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if q.psi1.is_zero and q.psi2.is_zero:
         return 0.0
     x, a = q.x, q.a
+    log_floor = math.log(8.0 * np.finfo(float).eps) + max(a, 0.0) ** 2 / (4.0 * eps)
+    if log_floor > math.log(1e3 * (cfg.abs_tol + cfg.rel_tol)):
+        raise AccuracyError(f"f_epsilon: roundoff floor 8 eps_mach e^(a^2/(4 eps)) exceeds the tolerance "
+                            f"1000-fold at a={a!r}, eps={eps!r}", achieved=math.exp(min(log_floor, _LOG_MAX)))
     # envelope: e^{-eps tau^2 + a tau} times the bounded scaled kernel
     tmax = _tau_cut(-a, 0.0, eps, q.psi1, q.psi2, -math.log(TRUNCATION))
 

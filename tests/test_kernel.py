@@ -98,8 +98,8 @@ CONTOUR_REFERENCE = {
     (1.0, 100.0, 40.0): complex(1.3447049961084527e-48, 5.831100699160921e-49),
     (1.0, 3.0, 3.0): complex(0.006154114095819953, 0.008730481324018713),
     (1.0, 0.5, 15.0): complex(-1.1323746192066306e-09, -8.544176014349835e-11),
-    # small x and large tau, where a start one halving below the analysis
-    # count rounds the sum worst; generated by the command above, at 30 digits
+    # small x and large tau, where a sum over fewer nodes rounds worst;
+    # generated by the command above, at 30 digits
     (0.0, 0.0107, 34.8): 7.557835387374922e-25,
     (0.0, 0.11, 39.5): 4.122761073589986e-28,
     (0.1, 0.0246, 39.5): complex(-4.0106218068769834e-28, 2.6934037140167395e-28),
@@ -174,11 +174,13 @@ def test_contour_values_match_frozen_reference(cfg, mu):
     keys = [key for key in CONTOUR_REFERENCE if key[0] == mu]
     xs = [key[1] for key in keys]
     taus = [key[2] for key in keys]
-    values, _ = contour_values(xs, taus, mu, cfg)
+    values, achieved = contour_values(xs, taus, mu, cfg)
     assert values.dtype == (float if mu == 0.0 else complex)
-    for key, got in zip(keys, values):
+    for key, got, bound in zip(keys, values, achieved):
         want = CONTOUR_REFERENCE[key]
         assert abs(got - want) <= 1e-12 * max(natural_scale(key[2]), abs(want)), key
+        # the bound covers the true error, the reference's rounding included
+        assert abs(got - want) <= bound, key
 
 
 @pytest.mark.parametrize("x, tau, mu", [
@@ -215,19 +217,23 @@ def test_contour_angles_match_full_scan():
     x = np.exp(rng.uniform(math.log(0.005), math.log(150.0), n))
     tau = np.exp(rng.uniform(math.log(0.05), math.log(60.0), n))
     want = np.concatenate([_full_scan_angles(x[i:i + 500], tau[i:i + 500]) for i in range(0, n, 500)])
-    assert np.array_equal(kernel._contour_angles(x, tau), want)
+    assert np.array_equal(kernel._contour_angles(x, tau)[0], want)
     grid_x, grid_tau = np.geomspace(0.01, 100.0, 25), np.geomspace(0.1, 40.0, 25)
     x, tau = (a.ravel() for a in np.meshgrid(grid_x, grid_tau))
-    assert np.array_equal(kernel._contour_angles(x, tau), _full_scan_angles(x, tau))
+    theta, log_k0 = kernel._contour_angles(x, tau)
+    assert np.array_equal(theta, _full_scan_angles(x, tau))
+    # the coarse log K_0 the Poisson count reuses at mu = 0, a row per point
+    assert np.array_equal(log_k0, kernel._log_k(x, kernel._COARSE))
     for xi, ti in zip(*CATALOG_CORNERS):
-        one = kernel._contour_angles(np.array([xi]), np.array([ti]))
+        one, _ = kernel._contour_angles(np.array([xi]), np.array([ti]))
         assert np.array_equal(one, _full_scan_angles([xi], [ti])), (xi, ti)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.1, 0.25, 0.5, 1.0])
 def test_contour_values_at_catalog_corners_match_full_scan(cfg, mu, monkeypatch):
     got = contour_values(*CATALOG_CORNERS, mu, cfg)
-    monkeypatch.setattr(kernel, "_contour_angles", _full_scan_angles)
+    monkeypatch.setattr(kernel, "_contour_angles",
+                        lambda x, tau: (_full_scan_angles(x, tau), kernel._log_k(x, kernel._COARSE)))
     want = contour_values(*CATALOG_CORNERS, mu, cfg)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -267,7 +273,7 @@ def test_angle_search_runs_once_per_point_set(cfg, monkeypatch):
     orders = (0.0, 0.1, 0.25, 0.5, 1.0)
     warm = [contour_values(x, tau, mu, cfg) for mu in orders]
     assert sizes == [625]
-    assert not kernel._contour_angles(x, tau).flags.writeable
+    assert not any(a.flags.writeable for a in kernel._contour_angles(x, tau))
     for mu, got in zip(orders, warm):
         monkeypatch.setattr(kernel, "_last_angles", (None, None))
         assert _same(got, contour_values(x, tau, mu, cfg)), mu
@@ -284,13 +290,13 @@ def test_angle_memo_never_pairs_one_point_set_with_anothers_angles(monkeypatch):
     # one-entry memo; a lost race may search again, never mix key and angles
     point_sets = [(np.array([0.5, 2.0, 9.0]), np.array([1.0, 3.0, 0.2])),
                   (np.geomspace(0.01, 100.0, 5), np.geomspace(40.0, 0.1, 5))]
-    want = [kernel._angle_search(x, tau) for x, tau in point_sets]
+    want = [kernel._angle_search(x, tau)[0] for x, tau in point_sets]
     monkeypatch.setattr(kernel, "_last_angles", (None, None))
     bad = []
 
     def work(start):
         for i in range(start, start + 60):
-            got = kernel._contour_angles(*point_sets[i % 2])
+            got, _ = kernel._contour_angles(*point_sets[i % 2])
             if not np.array_equal(got, want[i % 2]):
                 bad.append(i)
 
@@ -308,33 +314,31 @@ def test_angle_memo_never_pairs_one_point_set_with_anothers_angles(monkeypatch):
     assert bad == []
 
 
-def _start_levels(x, tau, mu, cfg, monkeypatch, poisson=True):
-    """contour_values' integrand, widths, start counts and accepted integrals;
-    with poisson=False, the phase-rate start alone."""
+def _levels(x, tau, mu, cfg, monkeypatch):
+    """contour_values' integrand, widths and interval counts, with the
+    integrals it accepted and their bounds in the integral's units."""
     seen = {}
     trapezoid = kernel._trapezoid
 
-    def recording(f, width, n0, cfg, dtype):
-        value, err = trapezoid(f, width, n0, cfg, dtype)
-        seen.update(f=f, width=width, n0=n0, value=value, dtype=dtype)
-        return value, err
+    def recording(f, width, n, dtype):
+        integral, roundoff = trapezoid(f, width, n, dtype)
+        seen.update(f=f, width=width, n=n, integral=integral, dtype=dtype)
+        return integral, roundoff
 
     with monkeypatch.context() as m:
         m.setattr(kernel, "_trapezoid", recording)
-        if not poisson:
-            m.setattr(kernel, "_poisson_count", lambda *args, **kwargs: np.inf)
-        contour_values(x, tau, mu, cfg)
+        values, achieved = contour_values(x, tau, mu, cfg)
+    theta, _ = kernel._contour_angles(np.asarray(x, float), np.asarray(tau, float))
+    seen.update(values=values, bound=achieved * np.exp(x * np.cos(theta) + tau * theta))
     return seen
 
 
 def test_poisson_start_alone_meets_the_tolerance(cfg, monkeypatch):
-    # Poisson summation and bound (3.15) put the aliasing error of the
-    # Poisson level below abs_tol/32.  A row starts one halving below it,
-    # so the Poisson level, twice the start, must alone agree with a level
-    # four times finer, both summed here from the row's integrand.  At
-    # mu = 0 the integral is of unit size and the test is abs_tol itself;
-    # at mu != 0 and small x it reaches 1e8, where the levels differ by
-    # rounding of the sum, so the test is the tolerance a value is judged by
+    # Poisson summation and bound (3.15) put the aliasing error of the one
+    # level each row sums below its target, so that level must agree with
+    # a level four times finer, summed here from the row's integrand, to
+    # within the bound the row reports; at mu != 0 and small x the integral
+    # reaches 1e8, and the bound carries the rounding of its sum
     grid_x, grid_tau = (a.ravel() for a in np.meshgrid(np.geomspace(0.01, 100.0, 25),
                                                        np.geomspace(0.1, 40.0, 25)))
     cases = [(mu, grid_x, grid_tau) for mu in (0.0, 0.1, 0.25, 0.5, 1.0)]
@@ -342,30 +346,24 @@ def test_poisson_start_alone_meets_the_tolerance(cfg, monkeypatch):
     for mu in (0.0, 0.3, 1.0, 2.5, -3.0):
         x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), 400))
         cases.append((mu, x, np.exp(rng.uniform(math.log(1e-3), math.log(50.0), 400))))
-    used_total = 0
+    checked = 0
     for mu, x, tau in cases:
-        new = _start_levels(x, tau, mu, cfg, monkeypatch)
-        rate = _start_levels(x, tau, mu, cfg, monkeypatch, poisson=False)["n0"]
-        used = np.flatnonzero(new["n0"] < rate)
-        # above the 16-interval floor, the Poisson level is twice the start
-        assert np.all(rate[used] >= 512) and np.all(new["n0"][used] > 16)
-        used_total += used.size
-        for n in 2 * np.unique(new["n0"][used]):
-            rows = used[2 * new["n0"][used] == n]
-            level = {}
-            for m in (n, 4 * n):
-                h = new["width"][rows] / m
-                total, _ = kernel._row_sums(new["f"], rows, h, np.arange(1.0, m + 1.0), new["dtype"])
-                level[m] = h * (0.5 + total)
-            fine = level[4 * n]
-            slack = cfg.abs_tol + (0.0 if mu == 0.0 else cfg.rel_tol * np.abs(fine))
-            assert np.all(np.abs(level[n] - fine) <= slack), (mu, n)
-    assert used_total >= 500
+        seen = _levels(x, tau, mu, cfg, monkeypatch)
+        assert not np.isnan(seen["values"]).any() and np.all(seen["n"] >= 16)
+        for n in np.unique(seen["n"]):
+            rows = np.flatnonzero(seen["n"] == n)
+            h = seen["width"][rows] / (4 * n)
+            total, _ = kernel._row_sums(seen["f"], rows, h, np.arange(1.0, 4 * n + 1.0), seen["dtype"])
+            fine = h * (0.5 + total)
+            assert np.all(np.abs(seen["integral"][rows] - fine) <= seen["bound"][rows]), (mu, n)
+            checked += rows.size
+    assert checked == 5 * 625 + 5 * 400
 
 
 def test_contour_nodes_on_the_default_grid_stay_capped(cfg, monkeypatch):
-    # a start at the phase rate alone takes 2,015,840 trapezoid nodes here,
-    # a start at the analysis count 1,073,248 and one halving below it 607,712
+    # a start at the phase rate alone took 2,015,840 trapezoid nodes here,
+    # two levels from the analysis count 1,073,248 and from one halving
+    # below it 607,712; one level of the Poisson count takes 390,994
     nodes = []
     row_sums = kernel._row_sums
 
@@ -378,7 +376,7 @@ def test_contour_nodes_on_the_default_grid_stay_capped(cfg, monkeypatch):
     for mu in (0.0, 0.1, 0.25, 0.5, 1.0):
         values, _ = contour_values(x, tau, mu, cfg)
         assert not np.isnan(values).any()
-    assert sum(nodes) <= 650_000
+    assert sum(nodes) <= 410_000
 
 
 def test_index_raising_sweep(cfg):

@@ -78,10 +78,18 @@ def test_tolerance_below_roundoff_refused_within_two_halvings(x, tau, monkeypatc
     cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-30)
     with pytest.raises(AccuracyError) as exc:
         k_itau_oracle(EvaluationPoint(x, tau), cfg)
-    # the initial level and at most two halvings
-    assert len(nodes) <= 3
-    assert sum(nodes) <= 7 * nodes[0]
+    # one level, at the Poisson count, and no refinement
+    assert len(nodes) == 1
     assert exc.value.achieved > 1e-30 * abs(k_itau_oracle(EvaluationPoint(x, tau)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_level_that_is_not_finite_is_refused_at_once(bad, panel_nodes):
+    # NaN was neither accepted nor refused, and every halving was taken
+    with pytest.raises(AccuracyError, match="not finite") as exc:
+        integrate(lambda x: np.where(x > 0.5, bad, 1.0), np.linspace(0.0, 1.0, 5))
+    assert len(panel_nodes) == 1
+    assert exc.value.achieved == math.inf
 
 
 def test_phase_edges_cover_and_order():

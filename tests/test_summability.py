@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -694,6 +697,31 @@ class TestFEpsilon:
                     monkeypatch.setattr(module, fn, forbidden)
         for x, eps in ((1.0, 1e-3), (20.0, 1e-3), (100.0, 1e-3)):
             f_epsilon(SummabilityQuery(x=x), eps, cfg)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-4])
+    def test_floor_above_tolerance_refused_before_quadrature(self, eps):
+        # 8 eps_mach e^{a^2/(4 eps)} is e^6215 and e^590: eps = 1e-5 once
+        # allocated until the process died and 1e-4 refused after 20 s; a
+        # child process under a 2 GiB address-space cap fails alone if either
+        # runs away, and warnings are errors there
+        code = (
+            "import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from klbessel.quadrature import AccuracyError\n"
+            "from klbessel.summability import SummabilityQuery, f_epsilon\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            f"    f_epsilon(SummabilityQuery(a=0.5, x=1.0), {eps!r})\n"
+            "except AccuracyError as exc:\n"
+            "    print(exc, time.perf_counter() - start, sep='\\n')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(summability.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        message, seconds = proc.stdout.splitlines()
+        assert f"a=0.5, eps={eps!r}" in message
+        assert float(seconds) < 1.0
 
     def test_zero_integrand(self, cfg):
         q = SummabilityQuery(psi1=PSI_ZERO, psi2=PSI_ZERO)
