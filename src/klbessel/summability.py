@@ -354,9 +354,10 @@ def f_epsilon(q, eps, cfg=DEFAULT_CONFIG):
     e^{a^2/(4 eps)}, while the oscillating integral stays of order one,
     so no error estimate falls below about 8 eps_mach e^{a^2/(4 eps)}:
     1e-5 at a = 0.3, eps = 1e-3 and 2.5e12 at a = 0.5, eps = 1e-3.  A
-    tolerance below that floor raises AccuracyError (a^2/(4 eps) must stay
-    below about 10 at the defaults), before any quadrature and naming a and
-    eps where it exceeds abs_tol + rel_tol 1000-fold.
+    tolerance below that floor raises AccuracyError (at the default
+    tolerances a^2/(4 eps) must stay below about 10); where the floor
+    exceeds abs_tol + rel_tol 1000-fold, it is raised before any quadrature,
+    naming a and eps.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps!r}")

@@ -85,7 +85,7 @@ def test_tolerance_below_roundoff_refused_within_two_halvings(x, tau, monkeypatc
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_level_that_is_not_finite_is_refused_at_once(bad, panel_nodes):
-    # NaN was neither accepted nor refused, and every halving was taken
+    # a level that is not finite can never be accepted, so no halving is taken
     with pytest.raises(AccuracyError, match="not finite") as exc:
         integrate(lambda x: np.where(x > 0.5, bad, 1.0), np.linspace(0.0, 1.0, 5))
     assert len(panel_nodes) == 1
