@@ -3,10 +3,23 @@
 Each catalog entry evaluates the right-hand side of one printed inequality,
 exactly as displayed, in log space (the sinh and gamma factors overflow
 float64 well inside the certification grid), on arrays of x and tau; the
-factors of the parameters alone are scalars, taken once a call.  A grid
-certifier checks |K| <= bound against the kernel evaluators with one
-formula call for the whole grid, and representation verifiers confirm the
-integral identities the bounds are derived from.
+factors of the parameters alone are scalars, taken once a call.  The
+catalog is a few families and their members, each member evaluated through
+its family's formula:
+
+- (1.7) FAMILY_17: MU_EQ_NU_112 (1.12) at mu = nu, K1_115 (1.15) at mu = 1,
+  VIA_116_117 (1.17) as (1.15) times x/tau, and DELTA_118 (1.18) as (1.17)
+  at nu = 3/2 + delta;
+- (1.8) HALF_RANGE_18: DELTA_111 (1.11) at nu = delta - 1/2, and OLENKO_19
+  (1.9) as (1.8) times Olenko's estimate of c_nu;
+- (1.10) MODIFIED_110: LS_RE_113 (1.13) and LS_IM_114 (1.14) as (1.10)
+  over sqrt 2;
+- (1.30) ITER_130: ITER_128 (1.28) at n = 2 and ITER_129 (1.29) at n = 3.
+
+Each entry declares its parameter domain, which `make_descriptor` checks.
+A grid certifier checks |K| <= bound against the kernel evaluators with
+one formula call for the whole grid, and representation verifiers confirm
+the integral identities the bounds are derived from.
 """
 
 from __future__ import annotations
@@ -197,8 +210,7 @@ def _log_bound_lebedev_15(params, x, tau):
 
 
 def _log_bound_family_17(params, x, tau):
-    nu = params["nu"]
-    mu = params["mu"]
+    nu, mu = params["nu"], params["mu"]
     return (
         (nu - mu - 1.0) * _LN2
         + math.log(_c_nu(nu))
@@ -220,80 +232,8 @@ def _log_bound_half_range_18(params, x, tau):
     )
 
 
-def _log_bound_olenko_19(params, x, tau):
-    nu = params["nu"]
-    return math.log(olenko_c(nu)) + _log_bound_half_range_18(params, x, tau)
-
-
 def _log_bound_modified_110(params, x, tau):
     return 0.5 * (2.0 * math.log(math.pi) + np.log(tau) - np.log(x) - log_sinh(math.pi * tau))
-
-
-def _log_bound_delta_111(params, x, tau):
-    delta = params["delta"]
-    return (
-        _sp.gammaln(delta)
-        - delta * np.log(x)
-        - _sp.gammaln(delta + 0.5)
-        + _sp.loggamma(0.5 + delta + 1j * tau).real
-    )
-
-
-def _log_bound_mu_eq_nu_112(params, x, tau):
-    nu = params["nu"]
-    return (
-        _sp.gammaln(0.5 * (nu + 1.5))
-        + _sp.gammaln(0.5 * (0.5 - nu))
-        + 0.5 * (np.log(tau) - _LN2 - np.log(x) - log_sinh(math.pi * tau))
-    )
-
-
-def _log_bound_ls_113_114(params, x, tau):
-    return 0.5 * (
-        2.0 * math.log(math.pi) + np.log(tau) - _LN2 - np.log(x) - log_sinh(math.pi * tau)
-    )
-
-
-def _log_bound_k1_115(params, x, tau):
-    nu = params["nu"]
-    return (
-        (nu - 2.0) * _LN2
-        + math.log(_c_nu(nu))
-        + _sp.gammaln(0.5 * (nu + 1.5))
-        + _sp.gammaln(0.5 * (nu - 1.5))
-        - _sp.gammaln(nu)
-        + _sp.loggamma(nu + 1j * tau).real
-        + (0.5 - nu) * np.log(x)
-    )
-
-
-def _log_bound_via_116_117(params, x, tau):
-    nu = params["nu"]
-    return (
-        (nu - 2.0) * _LN2
-        + math.log(_c_nu(nu))
-        + _sp.gammaln(0.5 * (nu + 1.5))
-        + _sp.gammaln(0.5 * (nu - 1.5))
-        - np.log(tau)
-        - _sp.gammaln(nu)
-        + _sp.loggamma(nu + 1j * tau).real
-        + (1.5 - nu) * np.log(x)
-    )
-
-
-def _log_bound_delta_118(params, x, tau):
-    delta = params["delta"]
-    nu = 1.5 + delta
-    return (
-        (delta - 0.5) * _LN2
-        + math.log(_c_nu(nu))
-        + _sp.gammaln(0.5 * (3.0 + delta))
-        + _sp.gammaln(0.5 * delta)
-        - np.log(tau)
-        - _sp.gammaln(nu)
-        + _sp.loggamma(nu + 1j * tau).real
-        - delta * np.log(x)
-    )
 
 
 def _log_bound_composite_126(params, x, tau):
@@ -340,177 +280,96 @@ def _log_bound_exp_decay_315(params, x, tau):
 
 
 # ---------------------------------------------------------------------------
-# catalog registry
+# catalog registry: each family member calls its family's formula (see the
+# module docstring); (1.12) is (1.7) at mu = nu because c_nu = sqrt(2/pi)
+# on |nu| <= 1/2, so |Gamma(1 + i tau)|^2 = pi tau / sinh(pi tau) closes it
 
-def _positive_int(value, name):
-    if value != int(value) or int(value) < 1:
-        raise ValueError(f"{name} must be a positive integer")
-    return int(value)
-
-
-def _validate_family_17(params):
-    nu, mu = params["nu"], params["mu"]
-    if nu < -0.5:
-        raise ValueError("nu must be >= -1/2 (the constant c_nu is not defined below)")
-    if not mu < 0.5 * (nu + 0.5):
-        raise ValueError("mu must satisfy mu < (nu + 1/2)/2")
-    return params
-
-
-def _validate_half_range_18(params):
-    if not -0.5 < params["nu"] <= 0.5:
-        raise ValueError("nu must lie in (-1/2, 1/2]")
-    return params
-
-
-def _validate_olenko_19(params):
-    if not params["nu"] > 0.0:
-        raise ValueError("nu must be positive")
-    return params
-
-
-def _validate_delta_111(params):
-    if not 0.0 < params["delta"] < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    return params
-
-
-def _validate_mu_eq_nu_112(params):
-    if not -0.5 <= params["nu"] < 0.5:
-        raise ValueError("nu must lie in [-1/2, 1/2)")
-    return params
-
-
-def _validate_above_three_halves(params):
-    # the gamma factor Gamma((nu - 3/2)/2) has a pole at nu = 3/2; keep a
-    # fixed margin so the bound never evaluates arbitrarily close to it
-    if not params["nu"] >= 1.5 + 1e-3:
-        raise ValueError("nu must be at least 3/2 + 1e-3")
-    return params
-
-
-def _validate_delta_118(params):
-    if not params["delta"] > 0.0:
-        raise ValueError("delta must be positive")
-    return params
-
-
-def _validate_composite_126(params):
-    if not params["delta"] > 0.0:
-        raise ValueError("delta must be positive")
-    params["M"] = _positive_int(params["M"], "M")
-    params["N"] = _positive_int(params["N"], "N")
-    return params
-
-
-def _validate_iter_130(params):
-    params["n"] = _positive_int(params["n"], "n")
-    return params
-
-
-def _validate_exp_decay_315(params):
-    if not 0.0 <= params["delta"] < 0.5 * math.pi:
-        raise ValueError("delta must lie in [0, pi/2)")
-    return params
-
-
-def _no_params(params):
-    return params
+def _log_bound_via_117(params, x, tau):
+    return _log_bound_family_17({"nu": params["nu"], "mu": 1.0}, x, tau) + np.log(x) - np.log(tau)
 
 
 @dataclass(frozen=True)
 class _CatalogEntry:
     label: str
-    defaults: dict  # parameter name -> default value, in the entry's order
-    validate: callable
-    log_bound: callable
-    kernel_part: str
+    log_bound: callable  # (params, x, tau) -> log of the bound
     validity: str
-    order_mu: callable  # params -> float
+    defaults: dict = field(default_factory=dict)  # parameter name -> default, in order
+    admissible: callable = lambda **p: True  # whether the parameters lie in the domain
+    domain_error: str = ""  # the ValueError message where they do not
+    order_mu: callable = lambda **p: 0.0
+    kernel_part: str = "abs"
 
+
+# the gamma factor Gamma((nu - 3/2)/2) of (1.15) and (1.17) has a pole at
+# nu = 3/2; a fixed margin keeps the bound clear of it
+_ABOVE_POLE, _ABOVE_POLE_ERROR = (lambda nu: nu >= 1.5 + 1e-3), "nu must be at least 3/2 + 1e-3"
 
 _CATALOG = {
-    "LEBEDEV_15": _CatalogEntry(
-        "1.5", {}, _no_params, _log_bound_lebedev_15, "abs",
-        "x > 0, tau > 0", lambda p: 0.0,
-    ),
+    "LEBEDEV_15": _CatalogEntry("1.5", _log_bound_lebedev_15, "x > 0, tau > 0"),
     "FAMILY_17": _CatalogEntry(
-        "1.7", {"nu": 0.3, "mu": 0.1}, _validate_family_17,
-        _log_bound_family_17, "abs",
+        "1.7", _log_bound_family_17,
         "x > 0, tau > 0; nu >= -1/2, mu < (nu + 1/2)/2; bounds |K_{mu + i tau}|",
-        lambda p: p["mu"],
+        {"nu": 0.3, "mu": 0.1}, lambda nu, mu: nu >= -0.5 and mu < 0.5 * (nu + 0.5),
+        "nu must be >= -1/2 (the constant c_nu is not defined below) and mu < (nu + 1/2)/2",
+        order_mu=lambda nu, mu: mu,
     ),
     "HALF_RANGE_18": _CatalogEntry(
-        "1.8", {"nu": 0.25}, _validate_half_range_18,
-        _log_bound_half_range_18, "abs",
-        "x > 0, tau > 0; -1/2 < nu <= 1/2", lambda p: 0.0,
+        "1.8", _log_bound_half_range_18, "x > 0, tau > 0; -1/2 < nu <= 1/2",
+        {"nu": 0.25}, lambda nu: -0.5 < nu <= 0.5, "nu must lie in (-1/2, 1/2]",
     ),
     "OLENKO_19": _CatalogEntry(
-        "1.9", {"nu": 1.0}, _validate_olenko_19,
-        _log_bound_olenko_19, "abs",
-        "x > 0, tau > 0; nu > 0", lambda p: 0.0,
+        "1.9", lambda p, x, tau: math.log(olenko_c(p["nu"])) + _log_bound_half_range_18(p, x, tau),
+        "x > 0, tau > 0; nu > 0", {"nu": 1.0}, lambda nu: nu > 0.0, "nu must be positive",
     ),
-    "MODIFIED_110": _CatalogEntry(
-        "1.10", {}, _no_params, _log_bound_modified_110, "abs",
-        "x > 0, tau > 0", lambda p: 0.0,
-    ),
+    "MODIFIED_110": _CatalogEntry("1.10", _log_bound_modified_110, "x > 0, tau > 0"),
     "DELTA_111": _CatalogEntry(
-        "1.11", {"delta": 0.5}, _validate_delta_111,
-        _log_bound_delta_111, "abs",
-        "x > 0, tau > 0; 0 < delta < 1", lambda p: 0.0,
+        "1.11", lambda p, x, tau: _log_bound_half_range_18({"nu": p["delta"] - 0.5}, x, tau),
+        "x > 0, tau > 0; 0 < delta < 1",
+        {"delta": 0.5}, lambda delta: 0.0 < delta < 1.0, "delta must lie in (0, 1)",
     ),
     "MU_EQ_NU_112": _CatalogEntry(
-        "1.12", {"nu": 0.25}, _validate_mu_eq_nu_112,
-        _log_bound_mu_eq_nu_112, "abs",
+        "1.12", lambda p, x, tau: _log_bound_family_17({"nu": p["nu"], "mu": p["nu"]}, x, tau),
         "x > 0, tau > 0; -1/2 <= nu < 1/2; bounds |K_{nu + i tau}|",
-        lambda p: p["nu"],
+        {"nu": 0.25}, lambda nu: -0.5 <= nu < 0.5, "nu must lie in [-1/2, 1/2)",
+        order_mu=lambda nu: nu,
     ),
     "LS_RE_113": _CatalogEntry(
-        "1.13", {}, _no_params, _log_bound_ls_113_114, "real_abs",
-        "x > 0, tau > 0; bounds |Re K_{1/2 + i tau}|", lambda p: 0.5,
+        "1.13", lambda p, x, tau: _log_bound_modified_110(p, x, tau) - 0.5 * _LN2,
+        "x > 0, tau > 0; bounds |Re K_{1/2 + i tau}|",
+        order_mu=lambda: 0.5, kernel_part="real_abs",
     ),
     "LS_IM_114": _CatalogEntry(
-        "1.14", {}, _no_params, _log_bound_ls_113_114, "imag_abs",
-        "x > 0, tau > 0; bounds |Im K_{1/2 + i tau}|", lambda p: 0.5,
+        "1.14", lambda p, x, tau: _log_bound_modified_110(p, x, tau) - 0.5 * _LN2,
+        "x > 0, tau > 0; bounds |Im K_{1/2 + i tau}|",
+        order_mu=lambda: 0.5, kernel_part="imag_abs",
     ),
     "K1_115": _CatalogEntry(
-        "1.15", {"nu": 2.0}, _validate_above_three_halves,
-        _log_bound_k1_115, "abs",
-        "x > 0, tau > 0; nu > 3/2; bounds |K_{1 + i tau}|", lambda p: 1.0,
+        "1.15", lambda p, x, tau: _log_bound_family_17({"nu": p["nu"], "mu": 1.0}, x, tau),
+        "x > 0, tau > 0; nu > 3/2; bounds |K_{1 + i tau}|",
+        {"nu": 2.0}, _ABOVE_POLE, _ABOVE_POLE_ERROR, order_mu=lambda nu: 1.0,
     ),
     "VIA_116_117": _CatalogEntry(
-        "1.17", {"nu": 2.0}, _validate_above_three_halves,
-        _log_bound_via_116_117, "abs",
-        "x > 0, tau > 0; nu > 3/2", lambda p: 0.0,
+        "1.17", _log_bound_via_117, "x > 0, tau > 0; nu > 3/2",
+        {"nu": 2.0}, _ABOVE_POLE, _ABOVE_POLE_ERROR,
     ),
     "DELTA_118": _CatalogEntry(
-        "1.18", {"delta": 0.5}, _validate_delta_118,
-        _log_bound_delta_118, "abs",
-        "x > 0, tau > 0; delta > 0", lambda p: 0.0,
+        "1.18", lambda p, x, tau: _log_bound_via_117({"nu": 1.5 + p["delta"]}, x, tau),
+        "x > 0, tau > 0; delta > 0",
+        {"delta": 0.5}, lambda delta: delta > 0.0, "delta must be positive",
     ),
     "COMPOSITE_126": _CatalogEntry(
-        "1.26", {"delta": 1.0, "M": 1, "N": 1},
-        _validate_composite_126, _log_bound_composite_126, "abs",
-        "x > 0, tau > 0; delta > 0, M >= 1, N >= 1", lambda p: 0.0,
+        "1.26", _log_bound_composite_126, "x > 0, tau > 0; delta > 0, M >= 1, N >= 1",
+        {"delta": 1.0, "M": 1, "N": 1}, lambda delta, M, N: delta > 0.0, "delta must be positive",
     ),
-    "ITER_128": _CatalogEntry(
-        "1.28", {}, _no_params, lambda p, x, tau: _log_bound_iter_130({"n": 2}, x, tau),
-        "abs",
-        "x > 0, tau > 0", lambda p: 0.0,
-    ),
-    "ITER_129": _CatalogEntry(
-        "1.29", {}, _no_params, lambda p, x, tau: _log_bound_iter_130({"n": 3}, x, tau),
-        "abs",
-        "x > 0, tau > 0", lambda p: 0.0,
-    ),
-    "ITER_130": _CatalogEntry(
-        "1.30", {"n": 3}, _validate_iter_130, _log_bound_iter_130, "abs",
-        "x > 0, tau > 0; n >= 1", lambda p: 0.0,
-    ),
+    "ITER_128": _CatalogEntry("1.28", lambda p, x, tau: _log_bound_iter_130({"n": 2}, x, tau),
+                              "x > 0, tau > 0"),
+    "ITER_129": _CatalogEntry("1.29", lambda p, x, tau: _log_bound_iter_130({"n": 3}, x, tau),
+                              "x > 0, tau > 0"),
+    "ITER_130": _CatalogEntry("1.30", _log_bound_iter_130, "x > 0, tau > 0; n >= 1", {"n": 3}),
     "EXP_DECAY_315": _CatalogEntry(
-        "3.15", {"delta": math.pi / 6.0}, _validate_exp_decay_315,
-        _log_bound_exp_decay_315, "abs",
-        "x > 0, tau > 0; 0 <= delta < pi/2", lambda p: 0.0,
+        "3.15", _log_bound_exp_decay_315, "x > 0, tau > 0; 0 <= delta < pi/2",
+        {"delta": math.pi / 6.0}, lambda delta: 0.0 <= delta < 0.5 * math.pi,
+        "delta must lie in [0, pi/2)",
     ),
 }
 
@@ -537,11 +396,16 @@ def make_descriptor(bound_id, **params):
     merged.update(params)
     if not all(math.isfinite(v) for v in merged.values()):
         raise ValueError(f"{bound_id} parameters must be finite, got {merged}")
-    merged = entry.validate(merged)
+    for name in [k for k in merged if k in ("M", "N", "n")]:  # counts of terms or iterations
+        if merged[name] != int(merged[name]) or merged[name] < 1:
+            raise ValueError(f"{name} must be a positive integer")
+        merged[name] = int(merged[name])
+    if not entry.admissible(**merged):
+        raise ValueError(entry.domain_error)
     return BoundDescriptor(
         id=bound_id,
         params=tuple((name, merged[name]) for name in entry.defaults),
-        order_mu=float(entry.order_mu(merged)),
+        order_mu=float(entry.order_mu(**merged)),
         kernel_part=entry.kernel_part,
         label=entry.label,
         validity=entry.validity,
@@ -663,9 +527,6 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
 # ---------------------------------------------------------------------------
 # integral-representation verifiers
 
-_REPRESENTATIONS = ("EQ_1_4", "EQ_1_6", "EQ_1_21", "EQ_1_27")
-
-
 def _tail_by_averaging(f, start, period, count=64):
     """Sum an oscillatory tail by half-period panels plus repeated averaging."""
     edges = start + period * np.arange(count + 1)
@@ -766,6 +627,15 @@ def _verify_eq_1_6(p, cfg, nu=0.3):
     return abs(lhs - rhs) / (abs(lhs) + 1e-300)
 
 
+# each representation's verifier and the parameters it takes
+_REPRESENTATIONS = {
+    "EQ_1_4": (_verify_eq_1_4, ()),
+    "EQ_1_6": (_verify_eq_1_6, ("nu",)),
+    "EQ_1_21": (_verify_eq_1_21, ()),
+    "EQ_1_27": (_verify_eq_1_27, ()),
+}
+
+
 def verify_representation(rep_id, p, cfg=DEFAULT_CONFIG, **params):
     """Relative residual of one integral representation at one point.
 
@@ -777,14 +647,17 @@ def verify_representation(rep_id, p, cfg=DEFAULT_CONFIG, **params):
     rep_id : str
         One of EQ_1_4, EQ_1_6, EQ_1_21, EQ_1_27.
     p : EvaluationPoint
-    params : for EQ_1_6, the order ``nu`` of the J-transform (default 0.3).
+    params : for EQ_1_6, the order ``nu`` of the J-transform (default 0.3);
+        the others take none.  A parameter the representation does not
+        take raises `ValueError` naming it.
     """
-    if rep_id == "EQ_1_27":
-        return _verify_eq_1_27(p, cfg)
-    if rep_id == "EQ_1_4":
-        return _verify_eq_1_4(p, cfg)
-    if rep_id == "EQ_1_21":
-        return _verify_eq_1_21(p, cfg)
-    if rep_id == "EQ_1_6":
-        return _verify_eq_1_6(p, cfg, **params)
-    raise ValueError(f"unknown representation {rep_id!r}; choose from {_REPRESENTATIONS}")
+    try:
+        verify, names = _REPRESENTATIONS[rep_id]
+    except KeyError:
+        raise ValueError(
+            f"unknown representation {rep_id!r}; choose from {tuple(_REPRESENTATIONS)}"
+        ) from None
+    unknown = set(params) - set(names)
+    if unknown:
+        raise ValueError(f"{rep_id} does not take parameters {sorted(unknown)}")
+    return verify(p, cfg, **params)

@@ -40,6 +40,11 @@ class AccuracyError(Exception):
 
 # panel-halving rounds `integrate` allows
 MAX_REFINEMENTS = 8
+# most Gauss nodes of an `integrate` level and crossings of a `phase_edges`
+# grid (the tests reach 138,496 and 4,320, the benchmark 12,832 and 393);
+# a grid at the crossing cap leaves two halvings below the node cap
+MAX_NODES = 2 ** 20
+MAX_CROSSINGS = 2 ** 14
 # magnitude below which a semi-infinite tail is cut
 TRUNCATION = 1e-18
 
@@ -99,8 +104,13 @@ def _halved(edges):
     return out
 
 
-def _level(f, edges):
-    """Sum and absolute sum of the panel sums; `AccuracyError` if not finite."""
+def _level(f, edges, achieved):
+    """Sum and absolute sum of the panel sums; `AccuracyError` if not finite,
+    or, before any evaluation, if the level takes more than `MAX_NODES` nodes."""
+    nodes = _NODES.size * (edges.size - 1)
+    if nodes > MAX_NODES:
+        raise AccuracyError(f"quadrature level of {nodes} nodes exceeds the cap of {MAX_NODES}",
+                            achieved=achieved)
     sums = panel_sums(f, edges)
     mass = float(np.sum(np.abs(sums)))
     if not np.isfinite(mass):
@@ -124,17 +134,19 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
     AccuracyError
         If the error estimate does not fall within ``abs_tol + rel_tol *
         |value|`` after `MAX_REFINEMENTS` (8) rounds; at once when a
-        level's sum is not finite, or when the levels agree to within the
+        level's sum is not finite, before a level of more than `MAX_NODES`
+        (2^20) nodes, or when the levels agree to within the
         roundoff floor and the floor alone misses the tolerance (halving
         cannot shrink the absolute panel sum, so no later round could
         succeed).  ``achieved`` carries the last (floored) estimate, inf
-        for a level that is not finite.
+        for a level that is not finite or where there is none.
     """
     edges = np.asarray(edges, dtype=float)
-    prev, _ = _level(f, edges)
+    err = np.inf
+    prev, _ = _level(f, edges, err)
     for _ in range(MAX_REFINEMENTS):
         edges = _halved(edges)
-        cur, mass = _level(f, edges)
+        cur, mass = _level(f, edges, err)
         diff, floor = abs(cur - prev), ROUNDOFF_FLOOR * mass
         err = max(diff, floor)
         if err <= cfg.abs_tol + cfg.rel_tol * abs(cur):
@@ -155,11 +167,19 @@ def phase_edges(phase, lo, hi):
     ``phase`` must be vectorized and non-decreasing.  Crossing locations are
     found by interpolating the inverse of the phase on a fine grid; a uniform
     subdivision into 8 pieces is merged in so smooth stretches are still
-    resolved.
+    resolved.  A span that is not finite raises `ValueError`, one of more
+    than `MAX_CROSSINGS` (2^14) crossings `AccuracyError`, both before the
+    crossings are placed.
     """
     grid = np.linspace(lo, hi, 4097)
-    pv = np.asarray(phase(grid), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pv = np.asarray(phase(grid), dtype=float)
     span = pv[-1] - pv[0]
+    if not np.isfinite(span):
+        raise ValueError(f"the phase span on [{lo!r}, {hi!r}] is not finite")
+    if span >= (MAX_CROSSINGS + 1) * _PHASE_SPACING:
+        raise AccuracyError(f"the phase spans {span:.3g} on [{lo!r}, {hi!r}], more than "
+                            f"the cap of {MAX_CROSSINGS} crossings")
     n_cross = int(span / _PHASE_SPACING)
     if n_cross > 512:
         # need a finer grid than the default to bracket every crossing

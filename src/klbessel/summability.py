@@ -409,7 +409,7 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG, width=1.0):
     def f(w):
         w = np.asarray(w, dtype=float)
         xs = np.exp(w)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             vals = np.asarray(g(xs), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise OverflowError("g leaves float range")
@@ -443,6 +443,17 @@ def _gamma_pair(s, tau):
     return math.exp(2.0 * _sp.loggamma(complex(s, tau)).real)
 
 
+def _kernel_nodes(xs, tau, cfg):
+    """K_{i tau} on a node array by two array calls: the definitional series
+    at x <= 0.05, where it is exact to roundoff in a few terms, and
+    `contour_values` above."""
+    small = xs <= 0.05
+    vals = np.empty(xs.shape)
+    vals[small] = _defseries_values(xs[small], tau)
+    vals[~small] = _checked_contour(xs[~small], tau, 0.0, cfg)
+    return vals
+
+
 def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
     """Relative residual of the kernel's Mellin transform identity.
 
@@ -451,21 +462,13 @@ def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
 
     The left side is `mellin_pair` of the kernel with panels a quarter of
     the kernel's log-axis oscillation period wide; the right side is
-    closed-form gamma arithmetic.  Each node array takes the kernel from
-    two array calls: the definitional series at x <= 0.05, where it is
-    exact to roundoff in a few terms, and `contour_values` above.
+    closed-form gamma arithmetic.  s must be at least 1/16, so that the
+    log axis starts at a positive float x = e^{(log(TRUNCATION) - 5)/s}.
     """
-    if not s > 0.0 or not tau > 0.0:
-        raise ValueError("s and tau must be positive")
-
-    def kernel(xs):
-        small = xs <= 0.05
-        vals = np.empty(xs.shape)
-        vals[small] = _defseries_values(xs[small], tau)
-        vals[~small] = _checked_contour(xs[~small], tau, 0.0, cfg)
-        return vals
-
-    lhs = mellin_pair(kernel, s, cfg, width=min(1.0, 0.5 * math.pi / (tau + 1.0)))
+    if not (s >= 0.0625 and tau > 0.0):
+        raise ValueError(f"s must be at least 1/16 and tau positive, got {s!r}, {tau!r}")
+    lhs = mellin_pair(lambda xs: _kernel_nodes(xs, tau, cfg), s, cfg,
+                      width=min(1.0, 0.5 * math.pi / (tau + 1.0)))
     rhs = 2.0 ** (-s) * math.sqrt(math.pi) * _gamma_pair(s, tau) / math.gamma(s + 0.5)
     return float(abs(lhs - rhs) / abs(rhs))
 
@@ -474,34 +477,22 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
     """Relative residual of the doubled-index moment identity.
 
     Gamma(s+i tau) Gamma(s-i tau) = 2^{2(1-s)} int_0^inf K_{2 i tau}(x)
-    x^{2s-1} dx.  Near x = 0 the kernel is pure oscillation in log x
-    with constant amplitude, so the integral below x = 0.01 is taken in
-    closed form from the two leading small-x terms; the rest is
-    phase-resolved quadrature, one `contour_values` call per node array.
+    x^{2s-1} dx.  The integral is `mellin_pair` of e^x K_{2 i tau}(x) at
+    2s, in panels a quarter of the doubled-index kernel's log-axis period
+    wide.  s must be at least 1/32, so that the log axis starts at a
+    positive float x.
     """
-    if not s > 0.0 or not tau > 0.0:
-        raise ValueError("s and tau must be positive")
-    w_cut = math.log(0.01)
-    c0 = np.exp(_sp.loggamma(2j * tau) + 2j * tau * _LN2)
-    pole1 = complex(2.0 * s, -2.0 * tau)
-    pole2 = complex(2.0 * s + 2.0, -2.0 * tau)
-    analytic = (c0 * np.exp(pole1 * w_cut) / pole1).real
-    analytic += (c0 / (4.0 * complex(1.0, -2.0 * tau)) * np.exp(pole2 * w_cut) / pole2).real
+    if not (s >= 0.03125 and tau > 0.0):
+        raise ValueError(f"s must be at least 1/32 and tau positive, got {s!r}, {tau!r}")
 
-    def f(w):
-        w = np.asarray(w, dtype=float)
-        # libm's exp: numpy's differs in the last bit at a few percent of
-        # nodes, which would move the residual by roundoff
-        xs = np.fromiter(map(math.exp, w), float, w.size)
-        return _checked_contour(xs, 2.0 * tau, 0.0, cfg) * np.exp(2.0 * s * w)
+    def g(xs):
+        # e^x in halves: K has underflowed where e^x alone overflows
+        half = np.exp(0.5 * xs)
+        return _kernel_nodes(xs, 2.0 * tau, cfg) * half * half
 
-    w_hi = math.log(-math.log(TRUNCATION) + 10.0 * s)
-    width = min(0.5, math.pi / (4.0 * tau + 1.0))
-    n = max(8, int(math.ceil((w_hi - w_cut) / width)))
-    numeric = integrate(f, np.linspace(w_cut, w_hi, n + 1), cfg)
+    integral = mellin_pair(g, 2.0 * s, cfg, width=min(1.0, 0.5 * math.pi / (2.0 * tau + 1.0)))
     lhs = _gamma_pair(s, tau)
-    rhs = 2.0 ** (2.0 * (1.0 - s)) * (analytic + numeric)
-    return float(abs(lhs - rhs) / abs(lhs))
+    return float(abs(lhs - 2.0 ** (2.0 * (1.0 - s)) * integral) / abs(lhs))
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,31 @@ MEASURED_SUP_PINS = {
 
 POINT_1_1 = EvaluationPoint(1.0, 1.0)
 
+# every entry at its defaults, then the family members at other parameters,
+# so that a wrong reparametrization of a member's family formula fails
 BOUND_PINS_AT_1_1 = {
-    "LEBEDEV_15": 0.75439497560291942,
-    "MODIFIED_110": 0.92444820335962766,
-    "COMPOSITE_126": 1.8868045492691137,
+    ("LEBEDEV_15", ()): 0.7543949756029195,
+    ("FAMILY_17", ()): 0.8563334331109023,
+    ("HALF_RANGE_18", ()): 0.7330794411255404,
+    ("OLENKO_19", ()): 0.8699837709094506,
+    ("MODIFIED_110", ()): 0.9244482033596279,
+    ("DELTA_111", ()): 0.924448203359625,
+    ("MU_EQ_NU_112", ()): 1.7081575479015836,
+    ("LS_RE_113", ()): 0.6536835934513133,
+    ("LS_IM_114", ()): 0.6536835934513133,
+    ("K1_115", ()): 2.990066917338077,
+    ("VIA_116_117", ()): 2.990066917338077,
+    ("DELTA_118", ()): 2.990066917338077,
+    ("COMPOSITE_126", ()): 1.8868045492691141,
+    ("ITER_128", ()): 1.1074380807181012,
+    ("ITER_129", ()): 1.913578232844756,
+    ("ITER_130", ()): 1.913578232844756,
+    ("EXP_DECAY_315", ()): 0.30320328899330645,
+    ("DELTA_111", (("delta", 0.3),)): 1.3264993789734647,
+    ("DELTA_118", (("delta", 0.7),)): 2.5393465568346207,
+    ("K1_115", (("nu", 3.0),)): 2.709304580929232,
+    ("MU_EQ_NU_112", (("nu", -0.3),)): 0.6873236051183812,
+    ("VIA_116_117", (("nu", 2.5),)): 2.365318419702183,
 }
 
 
@@ -166,9 +187,10 @@ def test_catalog_is_complete():
 
 
 def test_bound_pins():
-    for bound_id, want in BOUND_PINS_AT_1_1.items():
-        got = evaluate_bound(make_descriptor(bound_id), POINT_1_1)
-        assert math.isclose(got, want, rel_tol=1e-12), bound_id
+    assert {bound_id for bound_id, _ in BOUND_PINS_AT_1_1} == set(catalog_ids())
+    for (bound_id, params), want in BOUND_PINS_AT_1_1.items():
+        got = evaluate_bound(make_descriptor(bound_id, **dict(params)), POINT_1_1)
+        assert math.isclose(got, want, rel_tol=1e-13), (bound_id, params)
     got = evaluate_bound(make_descriptor("ITER_130", n=3), POINT_1_1)
     assert math.isclose(got, 1.9135782328447553, rel_tol=1e-12)
 
@@ -414,6 +436,15 @@ def test_representation_validation():
         verify_representation("EQ_9_99", POINT_1_1)
     with pytest.raises(ValueError):
         verify_representation("EQ_1_6", POINT_1_1, nu=-1.5)
+
+
+@pytest.mark.parametrize("rep_id", ["EQ_1_4", "EQ_1_21", "EQ_1_27"])
+def test_representation_refuses_a_parameter_it_does_not_take(rep_id):
+    # only EQ_1_6 takes nu; the others ignored it and returned a residual
+    with pytest.raises(ValueError, match=rf"{rep_id} does not take parameters \['nu'\]"):
+        verify_representation(rep_id, POINT_1_1, nu=0.3)
+    with pytest.raises(ValueError, match=r"does not take parameters \['mu'\]"):
+        verify_representation("EQ_1_6", POINT_1_1, mu=0.3)
 
 
 def test_catalog_json_round_trip():

@@ -393,6 +393,34 @@ class TestIdentities:
         assert code == 2
         assert "EQ_9_99" in err
 
+    @pytest.mark.parametrize("ident,x,code,message", [
+        # a phase grid of about 1.5e8 points, then about 3e8 Gauss nodes
+        ("EQ_1_4", "1e6", 3, "more than the cap of 16384 crossings"),
+        # numpy's "Maximum allowed size exceeded"
+        ("EQ_1_4", "1e300", 3, "more than the cap of 16384 crossings"),
+        # a RuntimeWarning, then "cannot convert float infinity to integer"
+        ("EQ_1_6", "1e-300", 2, "phase span on [1e-12, 6e+301] is not finite"),
+    ])
+    def test_phase_beyond_the_caps_is_refused_by_name(self, ident, x, code, message):
+        # in a child process under a 2 GiB address-space cap, so that a
+        # runaway fails alone, with warnings as errors
+        script = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from klbessel.cli import main\n"
+            "start = time.perf_counter()\n"
+            f"code = main(['identities', '--id', {ident!r}, '--x', {x!r}])\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(klbessel.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got, seconds = proc.stdout.split()
+        assert int(got) == code
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert float(seconds) < 1.0
+
 
 class TestSumm:
     def test_default_table_converges(self, capsys):

@@ -6,6 +6,8 @@ import pytest
 from klbessel import kernel
 from klbessel.kernel import EvaluationPoint, k_itau_oracle
 from klbessel.quadrature import (
+    MAX_CROSSINGS,
+    MAX_NODES,
     AccuracyError,
     QuadratureConfig,
     averaged_tail,
@@ -90,6 +92,35 @@ def test_level_that_is_not_finite_is_refused_at_once(bad, panel_nodes):
         integrate(lambda x: np.where(x > 0.5, bad, 1.0), np.linspace(0.0, 1.0, 5))
     assert len(panel_nodes) == 1
     assert exc.value.achieved == math.inf
+
+
+def test_level_above_the_node_cap_is_refused_before_it_is_evaluated(panel_nodes):
+    # a jump keeps every level off the tolerance, so each round halves
+    def f(x):
+        return np.where(x > 1.0 / 3.0, 1.0, 0.0)
+
+    panels = MAX_NODES // 16
+    with pytest.raises(AccuracyError, match="exceeds the cap") as exc:
+        integrate(f, np.linspace(0.0, 1.0, panels + 2))
+    assert panel_nodes == [] and exc.value.achieved == math.inf
+    with pytest.raises(AccuracyError, match="exceeds the cap") as exc:
+        integrate(f, np.linspace(0.0, 1.0, panels // 2 + 1))
+    assert panel_nodes == [MAX_NODES // 2, MAX_NODES]
+    assert 0.0 < exc.value.achieved < math.inf
+
+
+@pytest.mark.parametrize("phase", [lambda y: np.log1p(y * y), lambda y: np.full(y.shape, np.nan)])
+def test_phase_span_that_is_not_finite_is_refused(phase):
+    # y * y overflows: no warning, and no "cannot convert float infinity"
+    with pytest.raises(ValueError, match="is not finite"):
+        phase_edges(phase, 0.0, 1e200)
+
+
+def test_phase_edges_refuse_more_crossings_than_the_cap():
+    edges = phase_edges(lambda y: MAX_CROSSINGS * math.pi * y, 0.0, 1.0)
+    assert edges.size >= MAX_CROSSINGS
+    with pytest.raises(AccuracyError, match="cap of 16384 crossings"):
+        phase_edges(lambda y: (MAX_CROSSINGS + 1) * math.pi * y, 0.0, 1.0)
 
 
 def test_phase_edges_cover_and_order():

@@ -380,6 +380,11 @@ class TestMellinKIdentity:
             mellin_k_identity(0.0, 1.0, cfg)
         with pytest.raises(ValueError):
             mellin_k_identity(1.0, 0.0, cfg)
+        # below s = 1/16 the log axis would start at x = 0, where the
+        # kernel has no value
+        with pytest.raises(ValueError, match="s must be at least"):
+            mellin_k_identity(0.05, 1.0, cfg)
+        assert mellin_k_identity(0.0625, 1.0, cfg) <= 1e-12
 
 
 class TestGammaProductIdentity:
@@ -392,6 +397,14 @@ class TestGammaProductIdentity:
             gamma_product_identity(-1.0, 1.0, cfg)
         with pytest.raises(ValueError):
             gamma_product_identity(1.0, -2.0, cfg)
+        with pytest.raises(ValueError, match="s must be at least"):
+            gamma_product_identity(0.03, 1.0, cfg)
+        assert gamma_product_identity(0.03125, 1.0, cfg) <= 1e-12
+
+    @pytest.mark.parametrize("s", [40.0, 60.0, 80.0])
+    def test_large_s_stays_in_float_range(self, s, cfg):
+        # the moment's nodes reach x of about 1000, where e^x alone overflows
+        assert gamma_product_identity(s, 1.0, cfg) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +811,15 @@ class TestBatchedConsumers:
         assert oracle_calls == []
         (f, edges), = integrands
         w = _span_nodes(edges)
-        loop = np.array([k_itau_oracle(EvaluationPoint(math.exp(wi), 2.0 * tau), cfg) for wi in w])
-        assert np.array_equal(f(w), loop * np.exp(2.0 * s * w))
+        xs = np.exp(w)
+        assert xs.min() <= 0.05 < xs.max()
+        loop = np.array([
+            k_itau_smallx(EvaluationPoint(xi, 2.0 * tau)) if xi <= 0.05
+            else k_itau_oracle(EvaluationPoint(xi, 2.0 * tau), cfg)
+            for xi in xs
+        ])
+        half = np.exp(0.5 * xs)
+        assert np.array_equal(f(w), loop * half * half * np.exp(2.0 * s * w - xs))
 
     def test_mellin_k_identity(self, cfg, oracle_calls, integrands):
         s, tau = 1.0, 2.0

@@ -35,6 +35,12 @@ COMMANDS = (
     ("certify", "--id", "FAMILY_17", "--nu", "0.4", "--mu", "0.2") + SMALL,
     ("certify", "--all") + SMALL,
     ("certify", "--id", "LEBEDEV_15", "--spacing", "linear") + SMALL,
+    # the family members away from their defaults
+    ("certify", "--id", "DELTA_111", "--delta", "0.3") + SMALL,
+    ("certify", "--id", "DELTA_118", "--delta", "0.7") + SMALL,
+    ("certify", "--id", "K1_115", "--nu", "3") + SMALL,
+    ("certify", "--id", "MU_EQ_NU_112", "--nu", "-0.3") + SMALL,
+    ("certify", "--id", "VIA_116_117", "--nu", "2.5") + SMALL,
     ("asympt", "--tau-count", "5"),
     ("asympt", "--spacing", "linear", "--tau-count", "4"),
     ("asympt", "--x", "2", "--N", "0", "--tau0", "2", "--tau-min", "2", "--tau-count", "3"),
