@@ -25,8 +25,8 @@ The submodules split by concern:
     the ``klbessel`` command-line front-end, also ``python -m klbessel``;
     import it as ``klbessel.cli``, the package does not load it
 
-The modules return dataclasses, and the CLI writes them out; its JSON
-documents all come from one writer.
+The modules return dataclasses, and the CLI writes them out; its CSV and
+JSON documents all come from one writer.
 """
 
 from . import asymptotic, bounds, kernel, quadrature, special, summability

@@ -107,10 +107,7 @@ def stirling_r_gamma(tau):
 
 def _binet_integrand(t):
     t = np.asarray(t, dtype=float)
-    series = np.zeros_like(t)
-    t2 = t * t
-    for c in reversed(_BINET_COEFFS):
-        series = series * t2 + c
+    series = np.polyval(_BINET_COEFFS[::-1], t * t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         direct = np.where(
             t >= _BINET_SWITCH, (0.5 - 1.0 / t + 1.0 / np.expm1(t)) / t, 0.0

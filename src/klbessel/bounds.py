@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .kernel import EvaluationPoint, _checked_contour, contour_values, k_itau_oracle
+from .kernel import (EvaluationPoint, OrderSpec, _checked_contour, contour_values,
+                     k_complex_order, k_itau_oracle)
 from .quadrature import (
     DEFAULT_CONFIG,
     TRUNCATION,
@@ -552,10 +553,7 @@ def _verify_eq_1_27(p, cfg):
     w_max = math.acosh(1.0 + math.log(1.0 / TRUNCATION) / (2.0 * x)) + 1.0
 
     def f(w):
-        # libm's cosh: numpy's differs in the last bit at about a fifth of
-        # nodes, which would move the residual by roundoff
-        xs = np.fromiter((2.0 * x * math.cosh(v) for v in w), float, w.size)
-        return _checked_contour(xs, 2.0 * tau, 0.0, cfg)
+        return _checked_contour(2.0 * x * np.cosh(w), 2.0 * tau, 0.0, cfg)
 
     n_panels = max(8, int(2.0 * tau * w_max / math.pi) + 4)
     rhs = 2.0 * float(np.real(integrate(f, np.linspace(0.0, w_max, n_panels + 1), cfg)))
@@ -627,25 +625,36 @@ def _verify_eq_1_6(p, cfg, nu=0.3):
     return abs(lhs - rhs) / (abs(lhs) + 1e-300)
 
 
+def _verify_index_raising(p, cfg):
+    # tau K_{i tau}(x) = x Im K_{1+i tau}(x), the step from (1.15) to (1.17);
+    # Re x K_{1+i tau}(x) = -x K'_{i tau}(x), which does not vanish where K
+    # does, so near a zero of K the residual is read against that
+    lhs = p.tau * k_itau_oracle(p, cfg)
+    z = p.x * k_complex_order(OrderSpec(1.0, p.tau), p.x, cfg)
+    return abs(lhs - z.imag) / (max(abs(lhs), abs(z.real)) + 1e-300)
+
+
 # each representation's verifier and the parameters it takes
 _REPRESENTATIONS = {
     "EQ_1_4": (_verify_eq_1_4, ()),
     "EQ_1_6": (_verify_eq_1_6, ("nu",)),
     "EQ_1_21": (_verify_eq_1_21, ()),
     "EQ_1_27": (_verify_eq_1_27, ()),
+    "INDEX_RAISING": (_verify_index_raising, ()),
 }
 
 
 def verify_representation(rep_id, p, cfg=DEFAULT_CONFIG, **params):
     """Relative residual of one integral representation at one point.
 
-    Both sides are evaluated by independent quadratures; the result is
-    |LHS - RHS| / (|LHS| + tiny).
+    Both sides are evaluated by independent methods; the result is
+    |LHS - RHS| / (|LHS| + tiny), where INDEX_RAISING (tau K_{i tau}(x) =
+    x Im K_{1+i tau}(x)) takes max(|LHS|, |x Re K_{1+i tau}(x)|) for |LHS|.
 
     Parameters
     ----------
     rep_id : str
-        One of EQ_1_4, EQ_1_6, EQ_1_21, EQ_1_27.
+        One of EQ_1_4, EQ_1_6, EQ_1_21, EQ_1_27, INDEX_RAISING.
     p : EvaluationPoint
     params : for EQ_1_6, the order ``nu`` of the J-transform (default 0.3);
         the others take none.  A parameter the representation does not

@@ -29,6 +29,7 @@ could not be met.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -37,14 +38,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import asymptotic, bounds, summability
-from .kernel import (
-    EvaluationPoint,
-    OrderSpec,
-    k_complex_order,
-    k_itau_defseries,
-    k_itau_keyformula,
-    k_itau_oracle,
-)
+from .kernel import EvaluationPoint, k_itau_defseries, k_itau_keyformula, k_itau_oracle
 from .quadrature import DEFAULT_CONFIG, AccuracyError, QuadratureConfig
 
 __all__ = ["main"]
@@ -87,14 +81,6 @@ def _certify_grid(args):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _json_text(doc):
     """The one JSON writer: sorted keys, two-space indent, trailing newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -130,14 +116,6 @@ _EXPANSION_HEADER = ["x", "tau", "N", "leading", "remainder_measured",
                      "remainder_explicit", "remainder_bound", "pass"]
 
 
-def _expansion_row(r):
-    return [
-        repr(r.point.x), repr(r.point.tau), str(r.N), repr(r.leading),
-        repr(r.remainder_measured), repr(r.remainder_explicit),
-        repr(r.remainder_bound), str(r.within_bound).lower(),
-    ]
-
-
 def _summability_record(r):
     q = r.query
     return {
@@ -156,7 +134,29 @@ def _summability_record(r):
     }
 
 
-def _emit(text, args):
+def _params_cell(d):
+    return ";".join(f"{k}={v!r}" for k, v in d.params)
+
+
+def _cell(value):
+    """One CSV cell: a lower-case bool, empty for None, else ``str`` (a float's repr)."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "" if value is None else str(value)
+
+
+def _write(args, columns, rows, doc):
+    """Write the JSON document ``doc()`` builds, or ``rows`` (dicts keyed by
+    at least ``columns``) as CSV under a header row, to stdout or ``--output``.
+    ``doc`` is called only for JSON, so CSV never builds per-point records."""
+    if args.format == "json":
+        text = _json_text(doc())
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+        text = buf.getvalue()
     if not args.output:
         sys.stdout.write(text)
         return
@@ -175,34 +175,21 @@ def _cmd_eval(args):
     p = EvaluationPoint(args.x, args.tau)
     cfg = _quad_config(args)
     order = args.N if args.N is not None else 4
-    if args.method == "oracle":
-        value = k_itau_oracle(p, cfg)
-        reference = k_itau_keyformula(p, order, cfg)
-    elif args.method == "keyformula":
-        value = k_itau_keyformula(p, order, cfg)
-        reference = k_itau_oracle(p, cfg)
-    else:
-        value = k_itau_defseries(p)
-        reference = k_itau_oracle(p, cfg)
-    estimate = abs(value - reference)
-    if args.format == "json":
-        doc = {
-            "x": p.x,
-            "tau": p.tau,
-            "method": args.method,
-            "N": order if args.method != "defseries" else None,
-            "value": value,
-            "error_estimate": estimate,
-        }
-        _emit(_json_text(doc), args)
-    else:
-        row = [
-            repr(p.x), repr(p.tau), args.method,
-            str(order) if args.method != "defseries" else "",
-            repr(value), repr(estimate),
-        ]
-        _emit(_csv_text(
-            ["x", "tau", "method", "N", "value", "error_estimate"], [row]), args)
+    methods = {"oracle": lambda: k_itau_oracle(p, cfg),
+               "keyformula": lambda: k_itau_keyformula(p, order, cfg),
+               "defseries": lambda: k_itau_defseries(p)}
+    value = methods[args.method]()
+    # the key formula checks the oracle, the oracle every other method
+    reference = methods["keyformula" if args.method == "oracle" else "oracle"]()
+    row = {
+        "x": p.x,
+        "tau": p.tau,
+        "method": args.method,
+        "N": order if args.method != "defseries" else None,
+        "value": value,
+        "error_estimate": abs(value - reference),
+    }
+    _write(args, list(row), [row], lambda: row)
     return 0
 
 
@@ -211,44 +198,31 @@ def _catalog_params():
     return dict.fromkeys(k for d in bounds.all_default_descriptors() for k, _ in d.params)
 
 
-def _certify_params(args):
-    return {k: v for k in _catalog_params() if (v := getattr(args, k)) is not None}
-
-
 def _cmd_certify(args):
     grid = _certify_grid(args)
     cfg = _quad_config(args)
     if args.all:
         descriptors = bounds.all_default_descriptors()
     else:
-        descriptors = (bounds.make_descriptor(args.id, **_certify_params(args)),)
+        params = {k: v for k in _catalog_params() if (v := getattr(args, k)) is not None}
+        descriptors = (bounds.make_descriptor(args.id, **params),)
     # descriptors sharing a kernel order reuse one set of grid values
-    kernel_cache = {}
-    certs = []
-    for d in descriptors:
-        if d.order_mu not in kernel_cache:
-            kernel_cache[d.order_mu] = bounds.kernel_grid_values(grid, d.order_mu, cfg)
-        certs.append(bounds.certify_bound(
-            d, grid, cfg, kernel_values=kernel_cache[d.order_mu]))
-    if args.format == "json":
-        docs = [_certificate_record(c) for c in certs]
-        _emit(_json_text(docs[0] if len(docs) == 1 else {"certificates": docs}), args)
-    else:
-        rows = []
-        for c in certs:
-            d = c.descriptor
-            worst = ("", "", "") if c.worst_point is None else (
-                repr(c.max_ratio), repr(c.worst_point.x), repr(c.worst_point.tau))
-            rows.append([
-                d.id, d.label,
-                ";".join(f"{k}={v!r}" for k, v in d.params),
-                *worst,
-                str(len(c.indeterminate)),
-                str(c.passed).lower(),
-            ])
-        _emit(_csv_text(
-            ["id", "label", "params", "max_ratio", "worst_x", "worst_tau",
-             "indeterminate", "passed"], rows), args)
+    kernel = {mu: bounds.kernel_grid_values(grid, mu, cfg)
+              for mu in dict.fromkeys(d.order_mu for d in descriptors)}
+    certs = [bounds.certify_bound(d, grid, cfg, kernel_values=kernel[d.order_mu])
+             for d in descriptors]
+    rows = [{
+        "id": c.descriptor.id,
+        "label": c.descriptor.label,
+        "params": _params_cell(c.descriptor),
+        "max_ratio": c.max_ratio,
+        "worst_x": c.worst_point and c.worst_point.x,
+        "worst_tau": c.worst_point and c.worst_point.tau,
+        "indeterminate": len(c.indeterminate),
+        "passed": c.passed,
+    } for c in certs]
+    _write(args, list(rows[0]), rows, lambda: _certificate_record(certs[0]) if len(certs) == 1
+           else {"certificates": [_certificate_record(c) for c in certs]})
     return 0 if all(c.passed for c in certs) else 1
 
 
@@ -262,17 +236,10 @@ def _cmd_asympt(args):
             EvaluationPoint(args.x, tau), args.N, args.tau0, args.X, cfg)
         for tau in _axis(args, "tau")
     ]
-    if args.format == "json":
-        _emit(_json_text({"reports": [_expansion_record(r) for r in reports]}), args)
-    else:
-        _emit(_csv_text(_EXPANSION_HEADER, [_expansion_row(r) for r in reports]), args)
+    records = [_expansion_record(r) for r in reports]
+    _write(args, _EXPANSION_HEADER, [{**r, "pass": r["within_bound"]} for r in records],
+           lambda: {"reports": records})
     return 0 if all(r.within_bound for r in reports) else 1
-
-
-def _index_raising_residual(p, cfg):
-    lhs = p.tau * k_itau_oracle(p, cfg)
-    rhs = p.x * k_complex_order(OrderSpec(1.0, p.tau), p.x, cfg).imag
-    return abs(lhs - rhs) / abs(lhs)
 
 
 def _cmd_identities(args):
@@ -287,33 +254,18 @@ def _cmd_identities(args):
     for ident, x_default, tau_default, tol in selected:
         x = args.x if args.x is not None else x_default
         tau = args.tau if args.tau is not None else tau_default
-        p = EvaluationPoint(x, tau)
-        if ident == "INDEX_RAISING":
-            residual = _index_raising_residual(p, cfg)
-        else:
-            residual = bounds.verify_representation(ident, p, cfg)
-        records.append({
-            "id": ident, "x": x, "tau": tau,
-            "residual": residual, "tolerance": tol,
-            "passed": residual <= tol,
-        })
-    if args.format == "json":
-        _emit(_json_text({"identities": records}), args)
-    else:
-        rows = [[r["id"], repr(r["x"]), repr(r["tau"]), repr(r["residual"]),
-                 repr(r["tolerance"]), str(r["passed"]).lower()]
-                for r in records]
-        _emit(_csv_text(
-            ["id", "x", "tau", "residual", "tolerance", "passed"], rows), args)
+        residual = bounds.verify_representation(ident, EvaluationPoint(x, tau), cfg)
+        records.append({"id": ident, "x": x, "tau": tau, "residual": residual,
+                        "tolerance": tol, "passed": residual <= tol})
+    _write(args, ["id", "x", "tau", "residual", "tolerance", "passed"], records,
+           lambda: {"identities": records})
     return 0 if all(r["passed"] for r in records) else 1
 
 
 def _psi_spec(kind, b):
-    if kind == "one":
-        return summability.PSI_ONE
-    if kind == "zero":
-        return summability.PSI_ZERO
-    return summability.cos_spec(b)
+    if kind == "cos":
+        return summability.cos_spec(b)
+    return summability.PSI_ONE if kind == "one" else summability.PSI_ZERO
 
 
 def _cmd_summ(args):
@@ -331,31 +283,20 @@ def _cmd_summ(args):
         mellin_s=args.s,
     )
     report = summability.theorem3_check(query, cfg)
-    if args.format == "json":
-        _emit(_json_text(_summability_record(report)), args)
-    else:
-        rows = [
-            [repr(eps), repr(value), repr(report.target), repr(err)]
-            for eps, value, err in zip(
-                query.epsilon_schedule, report.pairing_values, report.errors)
-        ]
-        _emit(_csv_text(["epsilon", "pairing", "target", "error"], rows), args)
+    rows = [
+        {"epsilon": eps, "pairing": value, "target": report.target, "error": err}
+        for eps, value, err in zip(query.epsilon_schedule, report.pairing_values, report.errors)
+    ]
+    _write(args, ["epsilon", "pairing", "target", "error"], rows,
+           lambda: _summability_record(report))
     return 0 if report.converged else 1
 
 
 def _cmd_catalog(args):
     descriptors = bounds.all_default_descriptors()
-    if args.format == "json":
-        _emit(_json_text({"bounds": [_descriptor_record(d) for d in descriptors]}), args)
-    else:
-        rows = [[
-            d.id, d.label,
-            ";".join(f"{k}={v!r}" for k, v in d.params),
-            repr(d.order_mu), d.kernel_part, d.validity,
-        ] for d in descriptors]
-        _emit(_csv_text(
-            ["id", "label", "params", "order_mu", "kernel_part", "validity"],
-            rows), args)
+    rows = [dict(_descriptor_record(d), params=_params_cell(d)) for d in descriptors]
+    _write(args, ["id", "label", "params", "order_mu", "kernel_part", "validity"], rows,
+           lambda: {"bounds": [_descriptor_record(d) for d in descriptors]})
     return 0
 
 
@@ -400,12 +341,13 @@ def build_parser():
         description="Modified Bessel functions of imaginary order: "
                     "evaluation, certified bounds, asymptotics, summability.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's epilog keeps its line breaks
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, formatter_class=argparse.RawDescriptionHelpFormatter))
     common = _shared_options()
 
     p_eval = sub.add_parser(
         "eval", parents=[common],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
         help="evaluate the kernel at one point",
         epilog="CSV schema: x,tau,method,N,value,error_estimate\n"
                "error_estimate is the absolute difference against an\n"
@@ -421,7 +363,6 @@ def build_parser():
 
     p_cert = sub.add_parser(
         "certify", parents=[_shared_options("x", "tau")],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
         help="certify catalog bounds over a grid",
         epilog="CSV schema: id,label,params,max_ratio,worst_x,worst_tau,"
                "indeterminate,passed\n"
@@ -436,7 +377,6 @@ def build_parser():
 
     p_asympt = sub.add_parser(
         "asympt", parents=[_shared_options("tau", tau_min=1.0)],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
         help="expansion reports over a tau axis",
         epilog="CSV schema: x,tau,N,leading,remainder_measured,"
                "remainder_explicit,remainder_bound,pass\n"
@@ -453,9 +393,12 @@ def build_parser():
 
     p_ident = sub.add_parser(
         "identities", parents=[common],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
         help="residuals of the built-in identity checks",
         epilog="CSV schema: id,x,tau,residual,tolerance,passed\n"
+               "residual is |LHS - RHS| / |LHS|, LHS the side the oracle evaluates;\n"
+               "INDEX_RAISING, tau K_{i tau}(x) = x Im K_{1+i tau}(x), divides by\n"
+               "max(|tau K|, |x Re K_{1+i tau}(x)|) instead, so that a point near a\n"
+               "zero of K is read against x K'_{i tau}(x), which does not vanish there.\n"
                "Default rows check each identity at its reference point.\n"
                "Exit code 1 if any residual exceeds its tolerance.")
     p_ident.add_argument("--id", default=None,
@@ -466,7 +409,6 @@ def build_parser():
 
     p_summ = sub.add_parser(
         "summ", parents=[common],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
         help="regularized-pairing convergence table",
         epilog="CSV schema: epsilon,pairing,target,error\n"
                "Exit code 1 if the error column fails to converge.")
@@ -485,7 +427,6 @@ def build_parser():
 
     sub.add_parser(
         "catalog", parents=[_shared_options(tolerances=False)],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
         help="list the bound catalog",
         epilog="CSV schema: id,label,params,order_mu,kernel_part,validity")
     return parser

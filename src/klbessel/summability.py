@@ -62,6 +62,7 @@ DEFAULT_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(np.finfo(float).max)
 _DERIV_CAP = 60
+_MELLIN_S_MIN = 0.0625  # below about 0.0623 mellin_pair's x axis starts at an underflowed 0
 
 
 def type_threshold(a):
@@ -110,19 +111,11 @@ class EntireFunctionSpec:
     def __call__(self, tau):
         """Evaluate the (finite) even series; vectorized over tau."""
         tau = np.asarray(tau, dtype=float)
-        out = np.zeros_like(tau)
-        t2 = tau * tau
-        for c in reversed(self.even_coeffs):
-            out = out * t2 + c
-        return out
+        return np.polyval(self.even_coeffs[::-1], tau * tau)
 
     def abs_envelope(self, tau):
         """Scalar bound sum |c_{2n}| tau^{2n}, for truncation estimates."""
-        out = 0.0
-        t2 = tau * tau
-        for c in reversed(self.even_coeffs):
-            out = out * t2 + abs(c)
-        return out
+        return float(np.polyval(np.abs(self.even_coeffs[::-1]), tau * tau))
 
 
 PSI_ONE = EntireFunctionSpec((1.0,), 0.0)
@@ -398,11 +391,12 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG, width=1.0):
     is formed only if the first outward panel is not already below
     `TRUNCATION` alone, so an integrand that needs no march costs one panel
     more than its quadrature.  Where g leaves float range (an OverflowError
-    or a value that is not finite) the march ends.  ``s`` and ``width`` must
-    be finite and positive (else `ValueError`).
+    or a value that is not finite) the march ends.  ``s`` must be finite and
+    at least 1/16 (below about 0.0623 the axis starts at an x that underflows
+    to 0), ``width`` finite and positive (else `ValueError`).
     """
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"s must be finite and positive, got {s!r}")
+    if not _MELLIN_S_MIN <= s < math.inf:
+        raise ValueError(f"s must be at least 1/16 and finite, got {s!r}")
     if not 0.0 < width < math.inf:
         raise ValueError(f"width must be finite and positive, got {width!r}")
 
@@ -443,6 +437,15 @@ def _gamma_pair(s, tau):
     return math.exp(2.0 * _sp.loggamma(complex(s, tau)).real)
 
 
+def _resolvable(closed, s, tau, cfg):
+    """``closed``; AccuracyError where it is at most abs_tol, all that the
+    quadrature of the other side of the identity promises."""
+    if not abs(closed) > cfg.abs_tol:
+        raise AccuracyError(f"the closed side {closed:.3g} at s={s!r}, tau={tau!r} is within "
+                            f"the quadrature's abs_tol {cfg.abs_tol!r}")
+    return closed
+
+
 def _kernel_nodes(xs, tau, cfg):
     """K_{i tau} on a node array by two array calls: the definitional series
     at x <= 0.05, where it is exact to roundoff in a few terms, and
@@ -462,14 +465,17 @@ def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
 
     The left side is `mellin_pair` of the kernel with panels a quarter of
     the kernel's log-axis oscillation period wide; the right side is
-    closed-form gamma arithmetic.  s must be at least 1/16, so that the
-    log axis starts at a positive float x = e^{(log(TRUNCATION) - 5)/s}.
+    closed-form gamma arithmetic.  Domain: s >= 1/16 and finite tau > 0
+    (else `ValueError`) where the right side, falling like e^{-pi tau},
+    exceeds ``cfg.abs_tol`` (else `AccuracyError`): tau <= 10 at s = 1.
     """
-    if not (s >= 0.0625 and tau > 0.0):
-        raise ValueError(f"s must be at least 1/16 and tau positive, got {s!r}, {tau!r}")
+    # the domain first: out of it the closed side can fail or underflow
+    if not (s >= _MELLIN_S_MIN and 0.0 < tau < math.inf):
+        raise ValueError(f"s must be at least 1/16 and tau finite and positive, got {s!r}, {tau!r}")
+    rhs = _resolvable(2.0 ** (-s) * math.sqrt(math.pi) * _gamma_pair(s, tau)
+                      / math.gamma(s + 0.5), s, tau, cfg)
     lhs = mellin_pair(lambda xs: _kernel_nodes(xs, tau, cfg), s, cfg,
                       width=min(1.0, 0.5 * math.pi / (tau + 1.0)))
-    rhs = 2.0 ** (-s) * math.sqrt(math.pi) * _gamma_pair(s, tau) / math.gamma(s + 0.5)
     return float(abs(lhs - rhs) / abs(rhs))
 
 
@@ -479,11 +485,13 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
     Gamma(s+i tau) Gamma(s-i tau) = 2^{2(1-s)} int_0^inf K_{2 i tau}(x)
     x^{2s-1} dx.  The integral is `mellin_pair` of e^x K_{2 i tau}(x) at
     2s, in panels a quarter of the doubled-index kernel's log-axis period
-    wide.  s must be at least 1/32, so that the log axis starts at a
-    positive float x.
+    wide.  Domain: s >= 1/32 and finite tau > 0 (else `ValueError`) where
+    the gamma product exceeds ``cfg.abs_tol`` (else `AccuracyError`): tau
+    <= 10 at s = 1.
     """
-    if not (s >= 0.03125 and tau > 0.0):
-        raise ValueError(f"s must be at least 1/32 and tau positive, got {s!r}, {tau!r}")
+    if not (2.0 * s >= _MELLIN_S_MIN and 0.0 < tau < math.inf):
+        raise ValueError(f"s must be at least 1/32 and tau finite and positive, got {s!r}, {tau!r}")
+    lhs = _resolvable(_gamma_pair(s, tau), s, tau, cfg)
 
     def g(xs):
         # e^x in halves: K has underflowed where e^x alone overflows
@@ -491,7 +499,6 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
         return _kernel_nodes(xs, 2.0 * tau, cfg) * half * half
 
     integral = mellin_pair(g, 2.0 * s, cfg, width=min(1.0, 0.5 * math.pi / (2.0 * tau + 1.0)))
-    lhs = _gamma_pair(s, tau)
     return float(abs(lhs - 2.0 ** (2.0 * (1.0 - s)) * integral) / abs(lhs))
 
 
@@ -568,17 +575,9 @@ def deriv_exp_xsina(n, x, a):
 
 
 def theorem2_limit(x, a):
-    """Weak limit of f_eps with psi1 = 1, psi2 = 0: (pi/2) e^{x sin a}.
-
-    Elementwise over an array x, as `mellin_pair` calls it; OverflowError
-    if any value leaves float range.
-    """
-    if not np.all(np.asarray(x) > 0.0):
-        raise ValueError("x must be positive")
-    if not 0.0 <= a < 0.5 * math.pi:
-        raise ValueError("a must lie in [0, pi/2)")
-    with np.errstate(over="ignore"):
-        return _finite(0.5 * math.pi * np.exp(x * math.sin(a)), "weak limit")
+    """Weak limit of f_eps with psi1 = 1, psi2 = 0: (pi/2) e^{x sin a}, as
+    `theorem3_value` gives it (elementwise over an array x)."""
+    return theorem3_value(x, a, PSI_ONE, PSI_ZERO)
 
 
 def _check_types(a, psi1, psi2):

@@ -1,4 +1,6 @@
 import cmath
+import csv
+import io
 import math
 
 import numpy as np
@@ -254,9 +256,11 @@ def test_expansion_report_rejects_a_fractional_order(cfg):
         expansion_report(EvaluationPoint(1.0, 2.0), 1.5, 1.0, 5.0, cfg)
 
 
-def test_report_serialization(cfg):
+def test_report_serialization(cfg, capsys):
     rep = expansion_report(EvaluationPoint(1.0, 5.0), 1, 1.0, 5.0, cfg)
-    header, row = cli._EXPANSION_HEADER, cli._expansion_row(rep)
-    assert len(header) == len(row)
+    assert cli.main(["asympt", "--x", "1", "--N", "1", "--tau0", "1", "--X", "5",
+                     "--tau-min", "5", "--tau-max", "5", "--tau-count", "1"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == cli._EXPANSION_HEADER and len(header) == len(row)
     assert row[header.index("pass")] == "true"
     assert float(row[header.index("remainder_bound")]) == rep.remainder_bound

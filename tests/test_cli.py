@@ -381,6 +381,35 @@ class TestIdentities:
         assert float(rows[0][1]) == 1.0 and float(rows[0][2]) == 5.0
         assert rows[0][5] == "true"
 
+    def test_index_raising_near_a_zero_of_the_kernel(self, capsys):
+        # K is 4.9e-6 of its natural scale here: read against |tau K| the
+        # residual was 8.1e-9, against tau natural_scale(tau) it is 3.9e-14
+        code, out, _ = run(capsys, "identities", "--id", "INDEX_RAISING",
+                           "--x", "0.34374293694545893", "--tau", "10")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0][3]) <= 1e-12 and rows[0][5] == "true"
+
+    @pytest.mark.parametrize("factor", [0.0, 1.0 + 1e-6])
+    def test_index_raising_beyond_the_turning_point_sees_a_wrong_side(
+            self, capsys, monkeypatch, factor):
+        # at x = 30, tau = 3 K is 2e-14: the check must still fail when the
+        # right side is zeroed or off by 1e-6, as a tau-only scale did not
+        def perturbed(order, x, cfg):
+            z = k_complex_order(order, x, cfg)
+            return complex(z.real, factor * z.imag)
+
+        k_complex_order = bounds.k_complex_order
+        code, out, _ = run(capsys, "identities", "--id", "INDEX_RAISING",
+                           "--x", "30", "--tau", "3")
+        _, rows = parse_csv(out)
+        assert code == 0 and float(rows[0][3]) <= 1e-12
+        monkeypatch.setattr(bounds, "k_complex_order", perturbed)
+        code, out, _ = run(capsys, "identities", "--id", "INDEX_RAISING",
+                           "--x", "30", "--tau", "3")
+        _, rows = parse_csv(out)
+        assert code == 1 and rows[0][5] == "false"
+
     def test_eq_1_6_off_the_default_point(self, capsys):
         code, out, _ = run(capsys, "identities", "--id", "EQ_1_6",
                            "--x", "0.1", "--tau", "0.5")

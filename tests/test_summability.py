@@ -345,6 +345,10 @@ class TestMellinPair:
     def test_domain(self, cfg):
         with pytest.raises(ValueError):
             mellin_pair(lambda x: 1.0, 0.0, cfg)
+        # below s of about 0.0623 the log axis starts at an x that underflows
+        # to 0, which g refused as "x must be positive"
+        with pytest.raises(ValueError, match="s must be at least 1/16"):
+            mellin_pair(lambda x: theorem2_limit(x, 0.99), 0.053, cfg)
 
     @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
     def test_width_must_be_finite_and_positive(self, width, cfg):
@@ -384,7 +388,18 @@ class TestMellinKIdentity:
         # kernel has no value
         with pytest.raises(ValueError, match="s must be at least"):
             mellin_k_identity(0.05, 1.0, cfg)
+        # the domain is checked before the right side, which has a pole here
+        with pytest.raises(ValueError, match="s must be at least"):
+            mellin_k_identity(-0.5, 1.0, cfg)
         assert mellin_k_identity(0.0625, 1.0, cfg) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [20.0, 40.0])
+    def test_refuses_a_right_side_within_abs_tol(self, tau, cfg):
+        # the right side is 6.5e-26 at tau = 20 and 6.7e-53 at tau = 40,
+        # where the residual read 6.8e-5 and 5.6e9
+        with pytest.raises(AccuracyError, match=f"s=1.0, tau={tau!r}"):
+            mellin_k_identity(1.0, tau, cfg)
+        assert mellin_k_identity(1.0, 10.0, cfg) <= 1e-8
 
 
 class TestGammaProductIdentity:
@@ -399,7 +414,16 @@ class TestGammaProductIdentity:
             gamma_product_identity(1.0, -2.0, cfg)
         with pytest.raises(ValueError, match="s must be at least"):
             gamma_product_identity(0.03, 1.0, cfg)
+        # out of the domain and below abs_tol: the domain is what is named
+        with pytest.raises(ValueError, match="s must be at least"):
+            gamma_product_identity(0.01, 20.0, cfg)
         assert gamma_product_identity(0.03125, 1.0, cfg) <= 1e-12
+
+    def test_refuses_a_gamma_product_within_abs_tol(self, cfg):
+        # 6.7e-53 at tau = 40, where the residual read 0.062
+        with pytest.raises(AccuracyError, match="s=1.0, tau=40.0"):
+            gamma_product_identity(1.0, 40.0, cfg)
+        assert gamma_product_identity(1.0, 10.0, cfg) <= 1e-12
 
     @pytest.mark.parametrize("s", [40.0, 60.0, 80.0])
     def test_large_s_stays_in_float_range(self, s, cfg):
@@ -495,8 +519,9 @@ class TestTheoremLimits:
     def test_theorem3_value_identity_operator(self):
         for x in (0.5, 2.0):
             for a in (0.0, 0.8):
+                # Theorem 2's limit, (pi/2) e^{x sin a}, in closed form
                 got = theorem3_value(x, a, PSI_ONE, PSI_ZERO)
-                assert got == pytest.approx(theorem2_limit(x, a), rel=1e-14)
+                assert got == pytest.approx(0.5 * math.pi * math.exp(x * math.sin(a)), rel=1e-14)
 
     def test_theorem3_value_pinned(self):
         got = theorem3_value(1.0, 0.0, cos_spec(0.05), PSI_ZERO)
@@ -764,6 +789,58 @@ class TestFEpsilon:
             tau_integral_rhs(1.0, 0.0, eps, PSI_ONE, PSI_ZERO, cfg)
 
 
+# Log-uniform draws inside each evaluator's documented domain: x in [1e-2, 1e2]
+# and eps in [1e-3, 1e-1] for f_epsilon, s in [1e-2, 1e2] (mellin_pair refuses
+# below 1/16) and eps in [1e-6, 1] for tau_integral_rhs, widths in [0.05, 1],
+# tilts in [0, pi/2).  Every call returns a finite float or refuses with
+# ValueError naming one of its own parameters, AccuracyError or OverflowError.
+_FUZZ_CHILD = """
+import json, math, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from klbessel.quadrature import AccuracyError
+from klbessel.summability import (PSI_ONE, PSI_ZERO, SummabilityQuery, f_epsilon, mellin_pair,
+                                  tau_integral_rhs, theorem2_limit)
+rng = np.random.default_rng(int(sys.argv[1]))
+logu = lambda lo, hi: float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+tilt = lambda: float(rng.uniform(0.0, 0.5 * math.pi))
+calls = []
+for _ in range(int(sys.argv[2])):
+    x, eps, a = logu(1e-2, 1e2), logu(1e-3, 1e-1), tilt()
+    calls.append((("f_epsilon", "x", "a", "eps"),
+                  lambda x=x, eps=eps, a=a: f_epsilon(SummabilityQuery(x=x, a=a), eps)))
+    s, eps, a, psi2 = logu(1e-2, 1e2), logu(1e-6, 1.0), tilt(), (PSI_ZERO, PSI_ONE)[rng.integers(2)]
+    calls.append((("tau_integral_rhs", "s", "a", "eps"),
+                  lambda s=s, a=a, eps=eps, p=psi2: tau_integral_rhs(s, a, eps, PSI_ONE, p)))
+    s, a, w = logu(1e-2, 1e2), tilt(), logu(0.05, 1.0)
+    calls.append((("mellin_pair", "s", "width"),
+                  lambda s=s, a=a, w=w: mellin_pair(lambda xs: theorem2_limit(xs, a), s, width=w)))
+values = dict.fromkeys(("f_epsilon", "tau_integral_rhs", "mellin_pair"), 0)
+for names, call in calls:
+    try:
+        value = call()
+    except ValueError as exc:
+        assert str(exc).split()[0] in names[1:], (names[0], exc)
+    except (AccuracyError, OverflowError):
+        pass
+    else:
+        assert type(value) is float and math.isfinite(value), (names[0], value)
+        values[names[0]] += 1
+print(json.dumps(values))
+"""
+
+
+@pytest.mark.parametrize("seed", [2407, 2408])
+def test_seeded_fuzz_is_finite_or_refuses_by_name(seed):
+    # in a child process under a 2 GiB address-space cap, warnings as errors
+    env = dict(os.environ, PYTHONPATH=str(Path(summability.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _FUZZ_CHILD, str(seed), "24"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # each evaluator returned values, not only refusals
+    assert min(json.loads(proc.stdout).values()) > 0, proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # node-array consumers of the kernel against a scalar-oracle loop
 
@@ -844,7 +921,8 @@ class TestBatchedConsumers:
         (f, edges), = integrands
         w = _span_nodes(edges)
         loop = np.array([
-            k_itau_oracle(EvaluationPoint(2.0 * p.x * math.cosh(wi), 2.0 * p.tau), cfg) for wi in w
+            k_itau_oracle(EvaluationPoint(float(xi), 2.0 * p.tau), cfg)
+            for xi in 2.0 * p.x * np.cosh(w)
         ])
         assert np.array_equal(f(w), loop)
 

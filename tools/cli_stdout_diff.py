@@ -70,6 +70,8 @@ PROBES = (
      "--x-count", "2", "--tau-count", "2"),
     ("certify", "--id", "COMPOSITE_126", "--delta", "1000") + SMALL,
     ("asympt", "--N", "21"),
+    # K is 4.9e-6 of its natural scale here, near one of its zeros
+    ("identities", "--id", "INDEX_RAISING", "--x", "0.34374293694545893", "--tau", "10"),
 )
 ARGVS = tuple(c + f for c in COMMANDS for f in ((), ("--format", "json"))) + PROBES
 
