@@ -9,7 +9,7 @@ targets.
 The submodules split by concern:
 
 ``quadrature``
-    adaptive Gauss-Legendre integration with an explicit accuracy contract
+    adaptive Gauss-Kronrod integration with an explicit accuracy contract
 ``special``
     K_0 by quadrature (the tests' independent reference) and an
     overflow-free log sinh; every other special function is scipy's

@@ -531,7 +531,7 @@ def certify_bound(d, grid, cfg=DEFAULT_CONFIG, kernel_values=None):
 def _tail_by_averaging(f, start, period, count=64):
     """Sum an oscillatory tail by half-period panels plus repeated averaging."""
     edges = start + period * np.arange(count + 1)
-    panels = panel_sums(f, edges)
+    panels, _ = panel_sums(f, edges)
     value, _ = averaged_tail(panels)
     return value
 
@@ -613,8 +613,8 @@ def _verify_eq_1_6(p, cfg, nu=0.3):
     y0 = max(60.0 / x, 40.0)
     edges = phase_edges(lambda y: x * y + tau * np.log1p(y * y), 1e-12, y0)
     # the integrand behaves like y^{2 nu + 1} at the origin: panels graded
-    # geometrically toward it resolve that endpoint in two levels, where
-    # uniform halving takes seven or eight
+    # geometrically toward it resolve that endpoint at the first level, where
+    # uniform panels take six halvings
     graded = edges[1] * 0.5 ** np.arange(1, 64)
     edges = np.union1d(edges, graded[graded > edges[0]])
     head = complex(integrate(f, edges, cfg))
@@ -634,13 +634,17 @@ def _verify_index_raising(p, cfg):
     return abs(lhs - z.imag) / (max(abs(lhs), abs(z.real)) + 1e-300)
 
 
-# each representation's verifier and the parameters it takes
+# each representation's verifier, the parameters it takes and its domain,
+# the x and tau ranges inside the contour's contract (0.01 <= x <= 100,
+# tau <= 50) where its residual measures the identity: past them it
+# measures cancellation (EQ_1_4 reads 6e11 at (30, 0.1), EQ_1_6 6e-4 at
+# (30, 0.1), EQ_1_21 2e-4 at (0.01, 1e-6), EQ_1_27 1e-2 at (0.01, 50))
 _REPRESENTATIONS = {
-    "EQ_1_4": (_verify_eq_1_4, ()),
-    "EQ_1_6": (_verify_eq_1_6, ("nu",)),
-    "EQ_1_21": (_verify_eq_1_21, ()),
-    "EQ_1_27": (_verify_eq_1_27, ()),
-    "INDEX_RAISING": (_verify_index_raising, ()),
+    "EQ_1_4": (_verify_eq_1_4, (), (0.01, 5.0), (0.0, 25.0)),
+    "EQ_1_6": (_verify_eq_1_6, ("nu",), (0.01, 10.0), (0.0, 25.0)),
+    "EQ_1_21": (_verify_eq_1_21, (), (0.01, 5.0), (0.1, 50.0)),
+    "EQ_1_27": (_verify_eq_1_27, (), (0.01, 100.0), (0.0, 25.0)),
+    "INDEX_RAISING": (_verify_index_raising, (), (0.01, 100.0), (0.0, 50.0)),
 }
 
 
@@ -656,12 +660,17 @@ def verify_representation(rep_id, p, cfg=DEFAULT_CONFIG, **params):
     rep_id : str
         One of EQ_1_4, EQ_1_6, EQ_1_21, EQ_1_27, INDEX_RAISING.
     p : EvaluationPoint
+        Inside the representation's domain: 0.01 <= x <= 5 and tau <= 25
+        for EQ_1_4, x <= 10 and tau <= 25 for EQ_1_6, x <= 5 and
+        0.1 <= tau <= 50 for EQ_1_21, x <= 100 and tau <= 25 for EQ_1_27,
+        x <= 100 and tau <= 50 for INDEX_RAISING.  A point outside it
+        raises `ValueError` naming x or tau, before any evaluation.
     params : for EQ_1_6, the order ``nu`` of the J-transform (default 0.3);
         the others take none.  A parameter the representation does not
         take raises `ValueError` naming it.
     """
     try:
-        verify, names = _REPRESENTATIONS[rep_id]
+        verify, names, x_range, tau_range = _REPRESENTATIONS[rep_id]
     except KeyError:
         raise ValueError(
             f"unknown representation {rep_id!r}; choose from {tuple(_REPRESENTATIONS)}"
@@ -669,4 +678,7 @@ def verify_representation(rep_id, p, cfg=DEFAULT_CONFIG, **params):
     unknown = set(params) - set(names)
     if unknown:
         raise ValueError(f"{rep_id} does not take parameters {sorted(unknown)}")
+    for name, value, (lo, hi) in (("x", p.x, x_range), ("tau", p.tau, tau_range)):
+        if not lo <= value <= hi:
+            raise ValueError(f"{name} must be in [{lo:g}, {hi:g}] for {rep_id}, got {value!r}")
     return verify(p, cfg, **params)

@@ -399,7 +399,11 @@ def build_parser():
                "INDEX_RAISING, tau K_{i tau}(x) = x Im K_{1+i tau}(x), divides by\n"
                "max(|tau K|, |x Re K_{1+i tau}(x)|) instead, so that a point near a\n"
                "zero of K is read against x K'_{i tau}(x), which does not vanish there.\n"
-               "Default rows check each identity at its reference point.\n"
+               "Default rows check each identity at its reference point; a point\n"
+               "outside an identity's domain (0.01 <= x <= 5, tau <= 25 for EQ_1_4;\n"
+               "x <= 10, tau <= 25 for EQ_1_6; x <= 5, 0.1 <= tau <= 50 for EQ_1_21;\n"
+               "x <= 100, tau <= 25 for EQ_1_27; x <= 100, tau <= 50 for\n"
+               "INDEX_RAISING; x >= 0.01 for all) exits 2.\n"
                "Exit code 1 if any residual exceeds its tolerance.")
     p_ident.add_argument("--id", default=None,
                          help="restrict to one identity")

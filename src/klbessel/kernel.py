@@ -1,7 +1,7 @@
 """Evaluators for the Macdonald function of imaginary and complex order.
 
 Three independent routes are provided for K_{i tau}(x): a rotated-contour
-trapezoid oracle, a series-plus-remainder key formula (Gauss-Legendre panels
+trapezoid oracle, a series-plus-remainder key formula (Gauss-Kronrod panels
 for the remainder), and the definitional series through I_{+-i tau}.  They
 share no numerical machinery beyond the roundoff floor a value is judged
 against, so pairwise agreement is a genuine cross-check.  The oracle and the

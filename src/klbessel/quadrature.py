@@ -1,11 +1,14 @@
-"""Panel-based Gauss-Legendre quadrature with phase-aware subdivision.
+"""Panel-based Gauss-Kronrod quadrature with phase-aware subdivision.
 
 Every integral in this package but the kernel oracle's trapezoid rule is a
-sum of 16-point Gauss-Legendre panels.  Oscillatory integrands get their
-panel edges from the zero-crossing grid of a monotone phase majorant, so
-each panel sees at most one half-oscillation; smooth integrands get uniform
-edges.  Convergence is checked by halving every panel and comparing, which
-for analytic integrands gains ~2x digits per level.  The comparison is
+sum of panels of the 33-point Gauss-Kronrod rule.  Oscillatory integrands
+get their panel edges from the zero-crossing grid of a monotone phase
+majorant, so each panel sees at most one half-oscillation; smooth
+integrands get uniform edges.  Each level is evaluated once: its value is
+the Kronrod sum, and its error estimate the difference from the 16-point
+Gauss-Legendre sum embedded in the same 33 nodes (Laurie, Math. Comp. 66
+(1997) 1133-1145; Piessens et al., QUADPACK, 1983).  Only a level that
+misses the tolerance is refined, by halving every panel.  The estimate is
 floored at the roundoff of the panel sums (`ROUNDOFF_FLOOR`, shared with
 the trapezoid rule), so a tolerance finer than double precision can certify
 is refused rather than met by two sums that happen to round alike.
@@ -17,7 +20,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the non-negative half of the 33-point Kronrod extension of 16-point
+# Gauss-Legendre, x = 0 first, as `tools/kronrod_rule.py` prints it (mpmath
+# at 40 digits); the nodes at odd positions of the 33 are leggauss(16)'s
+_HALF_NODES = (
+    0.0, 0.09501250983763744, 0.18916857901808373, 0.2816035507792589,
+    0.37148378087841627, 0.45801677765722737, 0.5404076763521397, 0.6178762444026438,
+    0.6897411066817623, 0.755404408355003, 0.8142402870624444, 0.8656312023878318,
+    0.9091576670123429, 0.9445750230732326, 0.9715059509693926, 0.9894009349916499,
+    0.9982392741454446,
+)
+_HALF_WEIGHTS = (
+    0.0951542160804983, 0.09472840124723005, 0.09343867406092123, 0.09129203282819166,
+    0.08833750257911273, 0.08459580379259064, 0.08005394126371929, 0.07476982388559955,
+    0.06886299519153125, 0.062358806011834855, 0.055205633095422174, 0.047506215976407015,
+    0.039512951202421966, 0.031260543647380526, 0.022498859440049444, 0.013257930688091158,
+    0.004742777049247318,
+)
+_NODES = np.concatenate((-np.flip(_HALF_NODES[1:]), _HALF_NODES))
+_WEIGHTS = np.concatenate((np.flip(_HALF_WEIGHTS[1:]), _HALF_WEIGHTS))
+_GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)[1]
 # no error estimate drops below ROUNDOFF_FLOOR * sum(|terms|)
 ROUNDOFF_FLOOR = 8.0 * np.finfo(float).eps
 
@@ -40,9 +62,10 @@ class AccuracyError(Exception):
 
 # panel-halving rounds `integrate` allows
 MAX_REFINEMENTS = 8
-# most Gauss nodes of an `integrate` level and crossings of a `phase_edges`
-# grid (the tests reach 138,496 and 4,320, the benchmark 12,832 and 393);
-# a grid at the crossing cap leaves two halvings below the node cap
+# most nodes of an `integrate` level, 33 a panel, and crossings of a
+# `phase_edges` grid (the tests reach 216,447 and 4,320, the benchmark 13,233
+# and 393); a grid at the crossing cap takes about half the node cap at its
+# first level, so it cannot be halved
 MAX_NODES = 2 ** 20
 MAX_CROSSINGS = 2 ** 14
 # magnitude below which a semi-infinite tail is cut
@@ -55,9 +78,10 @@ class QuadratureConfig:
 
     Convergence is declared when the error estimate is within ``abs_tol +
     rel_tol * |value|``.  In `integrate` the estimate is the difference
-    between two refinement levels, in the contour trapezoid an aliasing
-    bound; both are floored at the roundoff scale ``8 * eps * sum(|terms|)``
-    of the level, and a tolerance below that floor raises `AccuracyError`.
+    between a level's Kronrod sum and its embedded Gauss sum, in the contour
+    trapezoid an aliasing bound; both are floored at the roundoff scale
+    ``8 * eps * sum(|terms|)`` of the level, and a tolerance below that
+    floor raises `AccuracyError`.
     The refinement rounds (`MAX_REFINEMENTS`, 8) and the tail cut
     (`TRUNCATION`, 1e-18) are fixed.
     """
@@ -74,7 +98,8 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 def panel_sums(f, edges):
-    """Gauss-Legendre estimate of the integral of ``f`` over each panel.
+    """33-point Kronrod and embedded 16-point Gauss estimates of the integral
+    of ``f`` over each panel, from one evaluation of ``f``.
 
     Parameters
     ----------
@@ -85,16 +110,18 @@ def panel_sums(f, edges):
 
     Returns
     -------
-    numpy.ndarray
-        One integral estimate per panel.
+    (numpy.ndarray, numpy.ndarray)
+        The Kronrod and the Gauss estimate, one per panel each.
     """
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = np.asarray(f(pts.ravel())).reshape(pts.shape)
-    # not ``@``: BLAS would spread these small products over every core
-    return half * (vals * _WEIGHTS).sum(axis=1)
+    # not ``@``: BLAS would spread these small products over every core;
+    # the Gauss nodes are the odd columns
+    kronrod = half * (vals * _WEIGHTS).sum(axis=1)
+    return kronrod, half * (vals[:, 1::2] * _GAUSS_WEIGHTS).sum(axis=1)
 
 
 def _halved(edges):
@@ -105,17 +132,19 @@ def _halved(edges):
 
 
 def _level(f, edges, achieved):
-    """Sum and absolute sum of the panel sums; `AccuracyError` if not finite,
-    or, before any evaluation, if the level takes more than `MAX_NODES` nodes."""
+    """Kronrod sum, its distance from the Gauss sum and the absolute sum of
+    the Kronrod panel sums; `AccuracyError` if not finite, or, before any
+    evaluation, if the level takes more than `MAX_NODES` nodes."""
     nodes = _NODES.size * (edges.size - 1)
     if nodes > MAX_NODES:
         raise AccuracyError(f"quadrature level of {nodes} nodes exceeds the cap of {MAX_NODES}",
                             achieved=achieved)
-    sums = panel_sums(f, edges)
-    mass = float(np.sum(np.abs(sums)))
+    kronrod, gauss = panel_sums(f, edges)
+    mass = float(np.sum(np.abs(kronrod)))
     if not np.isfinite(mass):
         raise AccuracyError("quadrature level is not finite", achieved=np.inf)
-    return np.sum(sums), mass
+    value = np.sum(kronrod)
+    return value, float(abs(value - np.sum(gauss))), mass
 
 
 def integrate(f, edges, cfg=DEFAULT_CONFIG):
@@ -124,36 +153,38 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
     The initial edges must already resolve any oscillation of ``f`` (one
     half-period per panel or better); refinement then only polishes.
 
-    Each round halves every panel.  Its error estimate is the change from
-    the level before, floored at the roundoff ``ROUNDOFF_FLOOR`` times the
-    absolute sum of the new panel sums, so two levels that agree bit for bit
-    certify no more than double precision can resolve.
+    A level evaluates ``f`` once, on the 33 Gauss-Kronrod nodes of every
+    panel (`panel_sums`).  Its value is the Kronrod sum, exact for
+    polynomials of degree 49 on each panel; its error estimate is the
+    distance from the embedded 16-point Gauss sum (exact to degree 31),
+    floored at the roundoff ``ROUNDOFF_FLOOR`` times the absolute sum of
+    the Kronrod panel sums, so two rules that agree bit for bit certify no
+    more than double precision can resolve.  A level whose estimate misses
+    ``abs_tol + rel_tol * |value|`` is refined by halving every panel.
 
     Raises
     ------
     AccuracyError
-        If the error estimate does not fall within ``abs_tol + rel_tol *
-        |value|`` after `MAX_REFINEMENTS` (8) rounds; at once when a
-        level's sum is not finite, before a level of more than `MAX_NODES`
-        (2^20) nodes, or when the levels agree to within the
-        roundoff floor and the floor alone misses the tolerance (halving
-        cannot shrink the absolute panel sum, so no later round could
-        succeed).  ``achieved`` carries the last (floored) estimate, inf
-        for a level that is not finite or where there is none.
+        If the error estimate does not fall within the tolerance after
+        `MAX_REFINEMENTS` (8) rounds; at once when a level's sum is not
+        finite, before a level of more than `MAX_NODES` (2^20) nodes, or
+        when the two rules agree to within the roundoff floor and the floor
+        alone misses the tolerance (halving cannot shrink the absolute panel
+        sum, so no later round could succeed).  ``achieved`` carries the
+        last (floored) estimate, inf for a level that is not finite or where
+        there is none.
     """
     edges = np.asarray(edges, dtype=float)
     err = np.inf
-    prev, _ = _level(f, edges, err)
-    for _ in range(MAX_REFINEMENTS):
-        edges = _halved(edges)
-        cur, mass = _level(f, edges, err)
-        diff, floor = abs(cur - prev), ROUNDOFF_FLOOR * mass
+    for _ in range(MAX_REFINEMENTS + 1):
+        value, diff, mass = _level(f, edges, err)
+        floor = ROUNDOFF_FLOOR * mass
         err = max(diff, floor)
-        if err <= cfg.abs_tol + cfg.rel_tol * abs(cur):
-            return cur
+        if err <= cfg.abs_tol + cfg.rel_tol * abs(value):
+            return value
         if diff <= floor:
             raise AccuracyError("tolerance is below the roundoff floor", achieved=float(err))
-        prev = cur
+        edges = _halved(edges)
     raise AccuracyError("quadrature did not converge", achieved=float(err))
 
 

@@ -416,7 +416,7 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG, width=1.0):
     total = None
     for _ in range(100):
         try:
-            panel = float(panel_sums(f, np.array(edges[-1:] + [edges[-1] + width]))[0])
+            panel = float(panel_sums(f, np.array(edges[-1:] + [edges[-1] + width]))[0][0])
         except OverflowError:
             # g itself left float range; by the integrability contract the
             # true tail out there is negligible against e^{-x}
@@ -424,7 +424,7 @@ def mellin_pair(g, s, cfg=DEFAULT_CONFIG, width=1.0):
         if abs(panel) <= TRUNCATION:
             break
         if total is None:
-            total = float(np.sum(panel_sums(f, np.array(edges))))
+            total = float(np.sum(panel_sums(f, np.array(edges))[0]))
         if abs(panel) <= TRUNCATION * (abs(total) + 1.0):
             break
         edges.append(edges[-1] + width)

@@ -13,12 +13,12 @@ def cfg():
 
 @pytest.fixture
 def panel_nodes(monkeypatch):
-    """Gauss-Legendre nodes per `quadrature.panel_sums` call, appended as the test runs."""
+    """Gauss-Kronrod nodes per `quadrature.panel_sums` call, appended as the test runs."""
     nodes = []
     panel_sums = quadrature.panel_sums
 
     def counting(f, edges):
-        nodes.append(16 * (len(edges) - 1))
+        nodes.append(33 * (len(edges) - 1))
         return panel_sums(f, edges)
 
     # `integrate` looks the name up in its module

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from klbessel import cli, quadrature
+from klbessel import bounds, cli, quadrature
 from klbessel.bounds import (
     RATIO_SLACK,
     all_default_descriptors,
@@ -436,6 +436,21 @@ def test_representation_validation():
         verify_representation("EQ_9_99", POINT_1_1)
     with pytest.raises(ValueError):
         verify_representation("EQ_1_6", POINT_1_1, nu=-1.5)
+
+
+@pytest.mark.parametrize("rep_id, x, tau, message", [
+    ("EQ_1_4", 5.5, 1.0, r"x must be in \[0.01, 5\] for EQ_1_4, got 5.5"),
+    ("EQ_1_4", 1.0, 26.0, r"tau must be in \[0, 25\] for EQ_1_4, got 26.0"),
+    ("EQ_1_6", 0.005, 1.0, r"x must be in \[0.01, 10\] for EQ_1_6, got 0.005"),
+    ("EQ_1_21", 1.0, 0.05, r"tau must be in \[0.1, 50\] for EQ_1_21, got 0.05"),
+    ("EQ_1_27", 1.0, 30.0, r"tau must be in \[0, 25\] for EQ_1_27, got 30.0"),
+    ("INDEX_RAISING", 101.0, 1.0, r"x must be in \[0.01, 100\] for INDEX_RAISING"),
+])
+def test_representation_refuses_a_point_outside_its_domain(rep_id, x, tau, message, monkeypatch):
+    # refused before either side is evaluated
+    monkeypatch.setattr(bounds, "k_itau_oracle", None)
+    with pytest.raises(ValueError, match=message):
+        verify_representation(rep_id, EvaluationPoint(x, tau))
 
 
 @pytest.mark.parametrize("rep_id", ["EQ_1_4", "EQ_1_21", "EQ_1_27"])

@@ -417,22 +417,38 @@ class TestIdentities:
         _, rows = parse_csv(out)
         assert rows[0][5] == "true"
 
+    @pytest.mark.parametrize("ident,x,message", [
+        # past the domain: a residual of 4.34e286, exit 1
+        ("EQ_1_21", "1e300", "x must be in [0.01, 5] for EQ_1_21, got 1e+300"),
+        # past the domain: a residual of 1.0 and an overflow warning, exit 1
+        ("EQ_1_4", "1e-300", "x must be in [0.01, 5] for EQ_1_4, got 1e-300"),
+        # past the domain both sides underflow: a residual of 0.0 that passes
+        ("EQ_1_27", "1e300", "x must be in [0.01, 100] for EQ_1_27, got 1e+300"),
+    ])
+    def test_point_outside_the_domain_is_refused_by_name(self, capsys, ident, x, message):
+        code, out, err = run(capsys, "identities", "--id", ident, "--x", x)
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
     def test_unknown_identity(self, capsys):
         code, _, err = run(capsys, "identities", "--id", "EQ_9_99")
         assert code == 2
         assert "EQ_9_99" in err
 
     @pytest.mark.parametrize("ident,x,code,message", [
-        # a phase grid of about 1.5e8 points, then about 3e8 Gauss nodes
-        ("EQ_1_4", "1e6", 3, "more than the cap of 16384 crossings"),
-        # numpy's "Maximum allowed size exceeded"
-        ("EQ_1_4", "1e300", 3, "more than the cap of 16384 crossings"),
-        # a RuntimeWarning, then "cannot convert float infinity to integer"
-        ("EQ_1_6", "1e-300", 2, "phase span on [1e-12, 6e+301] is not finite"),
+        # past the domain: a phase grid of about 1.5e8 points, then about
+        # 3e8 nodes
+        ("EQ_1_4", "1e6", 2, "x must be in [0.01, 5] for EQ_1_4, got 1000000.0"),
+        # past the domain: numpy's "Maximum allowed size exceeded"
+        ("EQ_1_4", "1e300", 2, "x must be in [0.01, 5] for EQ_1_4, got 1e+300"),
+        # past the domain: a RuntimeWarning, then "cannot convert float
+        # infinity to integer"
+        ("EQ_1_6", "1e-300", 2, "x must be in [0.01, 10] for EQ_1_6, got 1e-300"),
     ])
     def test_phase_beyond_the_caps_is_refused_by_name(self, ident, x, code, message):
         # in a child process under a 2 GiB address-space cap, so that a
-        # runaway fails alone, with warnings as errors
+        # runaway fails alone, with warnings as errors; the caps themselves
+        # keep their unit tests in test_quadrature.py
         script = (
             "import resource, sys, time\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"

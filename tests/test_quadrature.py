@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from klbessel import kernel
+from klbessel import kernel, quadrature
 from klbessel.kernel import EvaluationPoint, k_itau_oracle
 from klbessel.quadrature import (
     MAX_CROSSINGS,
@@ -29,19 +29,66 @@ def test_config_validation():
 
 
 def test_panel_sums_exact_on_polynomial():
-    # 16-point Gauss-Legendre is exact through degree 31
+    # the Kronrod rule is exact through degree 49, the embedded Gauss rule 31
     edges = np.array([0.0, 0.3, 1.0])
-    got = panel_sums(lambda x: 6.0 * x**5, edges)
-    assert got.shape == (2,)
-    assert math.isclose(got.sum(), 1.0, rel_tol=1e-14)
-    assert math.isclose(got[0], 0.3**6, rel_tol=1e-14)
+    for got in panel_sums(lambda x: 6.0 * x**5, edges):
+        assert got.shape == (2,)
+        assert math.isclose(got.sum(), 1.0, rel_tol=1e-14)
+        assert math.isclose(got[0], 0.3**6, rel_tol=1e-14)
 
 
 def test_panel_sums_complex():
     edges = np.linspace(0.0, 1.0, 5)
-    got = panel_sums(lambda x: np.exp(1j * x), edges).sum()
     want = (np.exp(1j) - 1.0) / 1j
-    assert abs(got - want) < 1e-14
+    for got in panel_sums(lambda x: np.exp(1j * x), edges):
+        assert abs(got.sum() - want) < 1e-14
+
+
+def _worst_moment_error(nodes, weights):
+    """Largest error in ulps of 2/(k+1) of the rule on x^k, k <= 49, each
+    sum taken exactly of the rounded products."""
+    worst = 0.0
+    for k in range(50):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = math.fsum(weights * nodes**k)
+        worst = max(worst, abs(got - exact) / np.spacing(2.0 / (k + 1)))
+    return worst
+
+
+def test_kronrod_rule_extends_the_gauss_rule():
+    nodes, weights = quadrature._NODES, quadrature._WEIGHTS
+    gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(16)
+    # the embedded rule is leggauss(16) bit for bit, at the odd positions
+    assert nodes.size == weights.size == 33
+    assert np.array_equal(nodes[1::2], gauss_nodes)
+    assert np.array_equal(quadrature._GAUSS_WEIGHTS, gauss_weights)
+    assert np.all(np.diff(nodes) > 0.0) and np.array_equal(nodes, -nodes[::-1])
+    assert np.all(weights > 0.0) and np.array_equal(weights, weights[::-1])
+    assert abs(math.fsum(weights) - 2.0) <= 4 * np.spacing(2.0)
+    # degree 49 is integrated exactly, to a few ulps: the rounding of each
+    # node moves x^k by up to k/2 ulps, so the worst is at the top degrees
+    assert _worst_moment_error(nodes, weights) <= 8.0
+    moved = weights.copy()
+    moved[5] += 1e-12
+    assert _worst_moment_error(nodes, moved) > 1e3
+
+
+def test_phase_resolved_smooth_integrand_is_accepted_at_its_first_level(cfg, panel_nodes):
+    integrate(np.exp, np.linspace(-1.0, 1.0, 4), cfg)
+    edges = phase_edges(lambda u: 7.0 * u, 0.0, 20.0 * math.pi)
+    integrate(lambda u: np.cos(7.0 * u) * np.exp(-u / 10.0), edges, cfg)
+    assert panel_nodes == [33 * 3, 33 * (edges.size - 1)]
+
+
+def test_under_resolved_integrand_refines_to_its_closed_form(cfg, panel_nodes):
+    # one panel across about 20 periods of e^{i t}: the Gauss and Kronrod
+    # sums must disagree until the panels resolve the oscillation
+    hi = 125.0
+    got = integrate(lambda t: np.exp(1j * t), np.array([0.0, hi]), cfg)
+    want = (np.exp(1j * hi) - 1.0) / 1j
+    assert len(panel_nodes) > 3
+    assert panel_nodes == [33 << k for k in range(len(panel_nodes))]
+    assert abs(got - want) <= cfg.abs_tol + cfg.rel_tol * abs(want)
 
 
 def test_integrate_smooth(cfg):
@@ -99,13 +146,13 @@ def test_level_above_the_node_cap_is_refused_before_it_is_evaluated(panel_nodes)
     def f(x):
         return np.where(x > 1.0 / 3.0, 1.0, 0.0)
 
-    panels = MAX_NODES // 16
+    panels = MAX_NODES // 33  # the most panels of 33 nodes a level may take
     with pytest.raises(AccuracyError, match="exceeds the cap") as exc:
         integrate(f, np.linspace(0.0, 1.0, panels + 2))
     assert panel_nodes == [] and exc.value.achieved == math.inf
     with pytest.raises(AccuracyError, match="exceeds the cap") as exc:
         integrate(f, np.linspace(0.0, 1.0, panels // 2 + 1))
-    assert panel_nodes == [MAX_NODES // 2, MAX_NODES]
+    assert panel_nodes == [33 * (panels // 2), 66 * (panels // 2)]
     assert 0.0 < exc.value.achieved < math.inf
 
 

@@ -376,7 +376,7 @@ class TestMellinKIdentity:
         monkeypatch.setattr(summability, "panel_sums", quadrature.panel_sums)
         mellin_k_identity(1.0, 2.0, cfg)
         first, levels = panel_nodes[0], panel_nodes[1:]
-        assert first == 16 and levels[0] == 1552
+        assert first == 33 and levels[0] == 3201
         assert levels == [levels[0] << k for k in range(len(levels))]
 
     def test_domain(self, cfg):

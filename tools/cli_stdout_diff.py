@@ -72,6 +72,11 @@ PROBES = (
     ("asympt", "--N", "21"),
     # K is 4.9e-6 of its natural scale here, near one of its zeros
     ("identities", "--id", "INDEX_RAISING", "--x", "0.34374293694545893", "--tau", "10"),
+    # outside the representations' domains: a residual of 4.34e286, a
+    # residual of 1.0 after an overflow warning, and two sides that underflow
+    ("identities", "--id", "EQ_1_21", "--x", "1e300"),
+    ("identities", "--id", "EQ_1_4", "--x", "1e-300"),
+    ("identities", "--id", "EQ_1_27", "--x", "1e300"),
 )
 ARGVS = tuple(c + f for c in COMMANDS for f in ((), ("--format", "json"))) + PROBES
 
