@@ -555,7 +555,8 @@ def _verify_eq_1_27(p, cfg):
     def f(w):
         return _checked_contour(2.0 * x * np.cosh(w), 2.0 * tau, 0.0, cfg)
 
-    n_panels = max(8, int(2.0 * tau * w_max / math.pi) + 4)
+    # 2 pi per panel of the phase, about 2 tau w where the kernel oscillates
+    n_panels = max(8, int(tau * w_max / math.pi) + 4)
     rhs = 2.0 * float(np.real(integrate(f, np.linspace(0.0, w_max, n_panels + 1), cfg)))
     return abs(lhs - rhs) / (abs(lhs) + 1e-300)
 

@@ -415,10 +415,11 @@ def _remainder_integral(x, tau, N, cfg):
     epsilon, the bracket's own rounding, T_N is 0 with no quadrature (its
     prefactor may underflow there).
 
-    The panel sums' roundoff floor is about 8 eps (2/pi) int E, with
-    E(v) = e^{-(2N+2) v} G(x^2 (1 - e^{-2v})) the envelope.  Where that
-    floor, int E bounded below by e^{-(2N+2) b} G(x^2 (1 - e^{-2a})) on 32
-    pieces [a, b] of [0, v_max], exceeds the tolerance 1000-fold, the
+    The rounding of the panel sums is about 8 eps (2/pi) int E, the
+    roundoff floor of half-period panels, with E(v) = e^{-(2N+2) v}
+    G(x^2 (1 - e^{-2v})) the envelope.  Where that floor, int E bounded
+    below by e^{-(2N+2) b} G(x^2 (1 - e^{-2a})) on 32 pieces [a, b] of
+    [0, v_max], exceeds the tolerance 1000-fold, the
     integral cancels past recovery and `AccuracyError` is raised before any
     quadrature, ``achieved`` being that floor on the natural scale; the
     bound int E <= G(x^2)/(2N+2) skips the check where it cannot fire.

@@ -267,9 +267,9 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
     growth for a < pi/2.  The integrand itself, before the prefactor, grows
     like Gamma(s)^2: where it, times the span of tau, leaves float range
     (from s of about 92 at a = 0, 73 at a = 1.4), OverflowError is raised.
-    Panels: 0.5 wide on [0, min(tmax, 8)] for the unit-scale structure of
-    the gamma pair near 0, plus one per nat of the steepest decay rate
-    2 eps tmax + pi/2 - a on [0, tmax], at least 24.
+    Panels: 1 wide on [0, min(tmax, 8)] for the unit-scale structure of
+    the gamma pair near 0, plus one per 4 nats of the steepest decay rate
+    2 eps tmax + pi/2 - a on [0, tmax], at least 8.
     """
     _check_sa(s, a)
     if not 0.0 <= eps < math.inf:
@@ -284,8 +284,8 @@ def tau_integral_rhs(s, a, eps, psi1, psi2, cfg=DEFAULT_CONFIG):
 
     tmax = _tau_cut(0.5 * math.pi - a, s + 1.0, eps, psi1, psi2, -math.log(TRUNCATION))
     cap = _LOG_MAX - math.log1p(tmax)  # so that the panel sums over [0, tmax] stay finite
-    per_nat = max(24, int((2.0 * eps * tmax + 0.5 * math.pi - a) * tmax))
-    edges = np.union1d(np.arange(0.0, min(tmax, 8.0), 0.5), np.linspace(0.0, tmax, per_nat + 1))
+    n_panels = max(8, int(0.25 * (2.0 * eps * tmax + 0.5 * math.pi - a) * tmax))
+    edges = np.union1d(np.arange(0.0, min(tmax, 8.0)), np.linspace(0.0, tmax, n_panels + 1))
     value = integrate(f, edges, cfg)
     prefactor = 2.0 ** (-s) * math.sqrt(math.pi) / math.gamma(s + 0.5)
     return float(prefactor * value)
@@ -463,8 +463,8 @@ def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
     int_0^inf e^{-x} K_{i tau}(x) x^{s-1} dx
         = 2^{-s} sqrt(pi) Gamma(s+i tau) Gamma(s-i tau) / Gamma(s+1/2).
 
-    The left side is `mellin_pair` of the kernel with panels a quarter of
-    the kernel's log-axis oscillation period wide; the right side is
+    The left side is `mellin_pair` of the kernel with panels one log-axis
+    oscillation period of the kernel wide (at most 1); the right side is
     closed-form gamma arithmetic.  Domain: s >= 1/16 and finite tau > 0
     (else `ValueError`) where the right side, falling like e^{-pi tau},
     exceeds ``cfg.abs_tol`` (else `AccuracyError`): tau <= 10 at s = 1.
@@ -475,7 +475,7 @@ def mellin_k_identity(s, tau, cfg=DEFAULT_CONFIG):
     rhs = _resolvable(2.0 ** (-s) * math.sqrt(math.pi) * _gamma_pair(s, tau)
                       / math.gamma(s + 0.5), s, tau, cfg)
     lhs = mellin_pair(lambda xs: _kernel_nodes(xs, tau, cfg), s, cfg,
-                      width=min(1.0, 0.5 * math.pi / (tau + 1.0)))
+                      width=min(1.0, 2.0 * math.pi / (tau + 1.0)))
     return float(abs(lhs - rhs) / abs(rhs))
 
 
@@ -484,8 +484,8 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
 
     Gamma(s+i tau) Gamma(s-i tau) = 2^{2(1-s)} int_0^inf K_{2 i tau}(x)
     x^{2s-1} dx.  The integral is `mellin_pair` of e^x K_{2 i tau}(x) at
-    2s, in panels a quarter of the doubled-index kernel's log-axis period
-    wide.  Domain: s >= 1/32 and finite tau > 0 (else `ValueError`) where
+    2s, in panels one log-axis period of the doubled-index kernel wide (at
+    most 1).  Domain: s >= 1/32 and finite tau > 0 (else `ValueError`) where
     the gamma product exceeds ``cfg.abs_tol`` (else `AccuracyError`): tau
     <= 10 at s = 1.
     """
@@ -498,7 +498,7 @@ def gamma_product_identity(s, tau, cfg=DEFAULT_CONFIG):
         half = np.exp(0.5 * xs)
         return _kernel_nodes(xs, 2.0 * tau, cfg) * half * half
 
-    integral = mellin_pair(g, 2.0 * s, cfg, width=min(1.0, 0.5 * math.pi / (2.0 * tau + 1.0)))
+    integral = mellin_pair(g, 2.0 * s, cfg, width=min(1.0, 2.0 * math.pi / (2.0 * tau + 1.0)))
     return float(abs(lhs - 2.0 ** (2.0 * (1.0 - s)) * integral) / abs(lhs))
 
 

@@ -423,6 +423,16 @@ def test_representation_residuals():
     assert verify_representation("EQ_1_6", EvaluationPoint(1.0, 1.0)) <= 1e-8
 
 
+@pytest.mark.parametrize("rep_id", ["EQ_1_21", "EQ_1_4", "EQ_1_6", "EQ_1_27"])
+def test_representation_sweep(rep_id):
+    # a 4x4 sweep, so that the one point of criterion 4 is not the only
+    # guard of the panel geometry: worst 8.3e-13 (EQ_1_21), 9.4e-14
+    # (EQ_1_6), 2.6e-14 (EQ_1_27) and 1.4e-14 (EQ_1_4)
+    worst = max(verify_representation(rep_id, EvaluationPoint(x, tau))
+                for x in (0.3, 0.5, 1.0, 2.0) for tau in (0.5, 1.0, 2.0, 3.0))
+    assert worst <= 2e-12
+
+
 def test_eq_1_6_off_the_default_point():
     # the integrand's y^{2 nu + 1} endpoint at y = 0 must be resolved
     # everywhere, (0.1, 0.5) included, not only at the default point

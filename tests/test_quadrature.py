@@ -164,18 +164,43 @@ def test_phase_span_that_is_not_finite_is_refused(phase):
 
 
 def test_phase_edges_refuse_more_crossings_than_the_cap():
-    edges = phase_edges(lambda y: MAX_CROSSINGS * math.pi * y, 0.0, 1.0)
+    edges = phase_edges(lambda y: MAX_CROSSINGS * 2.0 * math.pi * y, 0.0, 1.0)
     assert edges.size >= MAX_CROSSINGS
     with pytest.raises(AccuracyError, match="cap of 16384 crossings"):
-        phase_edges(lambda y: (MAX_CROSSINGS + 1) * math.pi * y, 0.0, 1.0)
+        phase_edges(lambda y: (MAX_CROSSINGS + 1) * 2.0 * math.pi * y, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 3.0, 40.0, 1e3])
+def test_one_period_panel_needs_no_more_than_the_gauss_rule(omega):
+    # a panel spans 2 pi of phase: the embedded 16-point Gauss rule already
+    # integrates e^{i omega t} there to roundoff, so Kronrod and Gauss agree
+    # to 1e-15 of the integral of |f|, whatever the phase at the left edge
+    width = 2.0 * math.pi / omega
+    for start in (0.0, 0.37, 2.0):
+        kronrod, gauss = panel_sums(lambda t: np.exp(1j * (omega * t + start)), [0.0, width])
+        assert abs(kronrod[0] - gauss[0]) <= 1e-15 * width
+
+
+@pytest.mark.parametrize("phase, hi", [
+    (lambda t: 7.0 * t, 300.0),
+    (lambda t: t * t, 30.0),
+    (lambda t: 50.0 * t * t, 30.0),
+])
+def test_phase_edges_span_one_period_per_panel(phase, hi):
+    # linear and chirped phases: no panel wider than 2 pi of phase, up to
+    # the interpolation of the inverse phase on its grid (about 2e-5 here),
+    # and no more edges than the crossings and the 8-panel uniform split
+    edges = phase_edges(phase, 0.0, hi)
+    assert np.max(np.diff(phase(edges))) <= 2.0 * math.pi * (1.0 + 1e-4)
+    assert edges.size <= int(phase(hi) / (2.0 * math.pi)) + 10
 
 
 def test_phase_edges_cover_and_order():
     edges = phase_edges(lambda u: 3.0 * u, 0.0, 10.0)
     assert edges[0] == 0.0 and edges[-1] == 10.0
     assert np.all(np.diff(edges) > 0)
-    # ~3*10/pi phase crossings must appear as interior edges
-    assert edges.size >= int(30.0 / math.pi)
+    # the 4 crossings of 2 pi phase and the 9 edges of the uniform split
+    assert edges.size >= int(30.0 / (2.0 * math.pi)) + 9
 
 
 def test_phase_edges_track_chirp():

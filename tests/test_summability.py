@@ -279,7 +279,7 @@ class TestTauIntegralRhs:
         assert qs == pytest.approx(closed_sinh(s, a), rel=1e-8)
 
     def test_panels_follow_the_decay(self, cfg, panel_nodes):
-        # 0.5-wide panels on [0, 8] and one per nat of the steepest decay
+        # 1-wide panels on [0, 8] and one per 4 nats of the steepest decay
         # beyond; two panels per unit of tau took 207,408 nodes here
         for s in (0.5, 1.0, 1.5):
             for a in (0.0, 0.3, 0.7, 1.2):
@@ -376,7 +376,7 @@ class TestMellinKIdentity:
         monkeypatch.setattr(summability, "panel_sums", quadrature.panel_sums)
         mellin_k_identity(1.0, 2.0, cfg)
         first, levels = panel_nodes[0], panel_nodes[1:]
-        assert first == 33 and levels[0] == 3201
+        assert first == 33 and levels[0] == 1683
         assert levels == [levels[0] << k for k in range(len(levels))]
 
     def test_domain(self, cfg):
