@@ -17,6 +17,7 @@ is the large-order identity, too) all take it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -155,10 +156,13 @@ _last_angles = (None, None)
 def _contour_angles(x, tau):
     """`_angle_search` on raveled float64 arrays, with a one-entry memo.
 
-    The certification grid is searched once for all its orders.  The memo
-    (280 bytes a point with its key) is read once and replaced whole, so
+    The angle memo: the orders of one grid share one search, as the
+    certification grid's five orders do.  It holds one point set (280
+    bytes a point with its key), is read once and replaced whole, so
     under threads a caller never pairs its key with another caller's
-    search; the returned arrays are read-only.
+    search; the returned arrays are read-only.  Repeated one-point calls
+    are served before they get here, by the point memo of `_contour_point`.
+    Tests reset both memos before each test (``tests/conftest.py``).
     """
     global _last_angles
     key = (x.tobytes(), tau.tobytes())
@@ -319,21 +323,45 @@ def _checked_contour(x, tau, mu, cfg):
     return values
 
 
+@functools.lru_cache(maxsize=1024)
+def _contour_point(x, tau, mu, cfg):
+    """One point of `contour_values` as Python numbers, ``(value, achieved)``,
+    behind the point memo: a one-point call repeated with the same x, tau,
+    mu and cfg returns the number (NaN where refused) its first call
+    computed.  The memo holds at most 1024 points of immutable numbers."""
+    values, achieved = contour_values(x, tau, mu, cfg)
+    return values[0].item(), achieved[0].item()
+
+
+def _checked_point(x, tau, mu, cfg):
+    """`_contour_point`'s value, raising `AccuracyError` as `_checked_contour` does."""
+    value, achieved = _contour_point(x, tau, mu, cfg)
+    if cmath.isnan(value):
+        raise AccuracyError("contour quadrature did not meet its tolerance", achieved=achieved)
+    return value
+
+
 def k_itau_oracle(p, cfg=DEFAULT_CONFIG):
     """K_{i tau}(x) at an `EvaluationPoint`: one point of `contour_values` at mu = 0.
 
+    A repeated point is read from the point memo of `_contour_point` (at
+    most 1024 points), bit for bit the value its first call computed.
     Raises `AccuracyError` if the trapezoid misses the tolerance.
     """
-    return float(_checked_contour(p.x, p.tau, 0.0, cfg)[0])
+    return float(_checked_point(float(p.x), float(p.tau), 0.0, cfg))
 
 
 def k_complex_order(o, x, cfg=DEFAULT_CONFIG):
-    """K_{mu + i tau}(x) for an `OrderSpec`: one point of `contour_values`.
+    """K_{mu + i tau}(x) for an `OrderSpec`: one point of `contour_values`,
+    memoized as `k_itau_oracle` is.
 
-    Contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100.  Raises
-    `AccuracyError` if the trapezoid misses the tolerance.
+    Contracted for |mu| <= 3, tau <= 50, 0.01 <= x <= 100; x must be a
+    finite, positive scalar (else `ValueError`).  Raises `AccuracyError` if
+    the trapezoid misses the tolerance.
     """
-    return complex(_checked_contour(x, o.tau, o.mu, cfg)[0])
+    if np.ndim(x) != 0 or not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"k_complex_order needs a finite positive scalar x, got {x!r}")
+    return complex(_checked_point(float(x), float(o.tau), float(o.mu), cfg))
 
 
 def _series_tail(x, tau, N):

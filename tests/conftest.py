@@ -2,13 +2,21 @@ import sys
 
 import pytest
 
-from klbessel import quadrature
+from klbessel import kernel, quadrature
 from klbessel.quadrature import DEFAULT_CONFIG
 
 
 @pytest.fixture(scope="session")
 def cfg():
     return DEFAULT_CONFIG
+
+
+@pytest.fixture(autouse=True)
+def empty_kernel_memos():
+    """Start each test with empty angle and point memos, so no test sees a
+    point an earlier test evaluated (node counts would read 0 on a memo hit)."""
+    kernel._contour_point.cache_clear()
+    kernel._last_angles = (None, None)
 
 
 @pytest.fixture

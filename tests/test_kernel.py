@@ -23,7 +23,7 @@ from klbessel.kernel import (
     k_itau_smallx,
     natural_scale,
 )
-from klbessel.quadrature import AccuracyError
+from klbessel.quadrature import AccuracyError, QuadratureConfig
 from klbessel.special import bessel_k0
 
 # Frozen reference values, computed once with 50-digit arithmetic from the
@@ -262,7 +262,6 @@ def _counting_angle_search(monkeypatch):
         return search(x, tau)
 
     monkeypatch.setattr(kernel, "_angle_search", counting)
-    monkeypatch.setattr(kernel, "_last_angles", (None, None))
     return sizes
 
 
@@ -285,13 +284,12 @@ def test_angle_search_runs_once_per_point_set(cfg, monkeypatch):
     assert sizes == [625]
 
 
-def test_angle_memo_never_pairs_one_point_set_with_anothers_angles(monkeypatch):
+def test_angle_memo_never_pairs_one_point_set_with_anothers_angles():
     # threads alternate two point sets of different sizes through the
     # one-entry memo; a lost race may search again, never mix key and angles
     point_sets = [(np.array([0.5, 2.0, 9.0]), np.array([1.0, 3.0, 0.2])),
                   (np.geomspace(0.01, 100.0, 5), np.geomspace(40.0, 0.1, 5))]
     want = [kernel._angle_search(x, tau)[0] for x, tau in point_sets]
-    monkeypatch.setattr(kernel, "_last_angles", (None, None))
     bad = []
 
     def work(start):
@@ -312,6 +310,71 @@ def test_angle_memo_never_pairs_one_point_set_with_anothers_angles(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+def _counting_row_sums(monkeypatch):
+    """A list that grows by one per `kernel._row_sums` call."""
+    calls = []
+    row_sums = kernel._row_sums
+
+    def counting(*args):
+        calls.append(1)
+        return row_sums(*args)
+
+    monkeypatch.setattr(kernel, "_row_sums", counting)
+    return calls
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+@pytest.mark.parametrize("mu", [None, 0.5])
+def test_repeated_one_point_call_is_a_memo_hit(cfg, mu, monkeypatch):
+    # None: the oracle; else the complex order mu + i tau
+    x, tau = 1.3, 2.1
+    call = ((lambda: k_itau_oracle(EvaluationPoint(x, tau), cfg)) if mu is None
+            else (lambda: k_complex_order(OrderSpec(mu, tau), x, cfg)))
+    calls = _counting_row_sums(monkeypatch)
+    first = call()
+    assert len(calls) == 1
+    again = call()
+    assert len(calls) == 1
+    assert type(again) is type(first) and _bits(again) == _bits(first)
+    # the memo returns what the unmemoized array evaluator computes
+    assert _bits(contour_values(x, tau, mu or 0.0, cfg)[0][0]) == _bits(first)
+    info = kernel._contour_point.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 1024)
+
+
+def test_refused_point_is_refused_again_from_the_memo(monkeypatch):
+    calls = _counting_row_sums(monkeypatch)
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-30)
+    p = EvaluationPoint(1.0, 1.0)
+    with pytest.raises(AccuracyError) as first:
+        k_itau_oracle(p, cfg)
+    with pytest.raises(AccuracyError) as again:
+        k_itau_oracle(p, cfg)
+    assert len(calls) == 1
+    assert again.value.achieved == first.value.achieved > 0.0
+
+
+def test_other_order_or_tolerance_at_a_memoized_point_is_a_miss(cfg, monkeypatch):
+    x, tau = 0.7, 1.9
+    k_itau_oracle(EvaluationPoint(x, tau), cfg)
+    calls = _counting_row_sums(monkeypatch)
+    k_complex_order(OrderSpec(0.25, tau), x, cfg)
+    k_itau_oracle(EvaluationPoint(x, tau), QuadratureConfig(abs_tol=1e-13))
+    assert len(calls) == 2
+    assert kernel._contour_point.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("x", [np.array([1.0, 5.0]), np.array([1.0]), [2.0],
+                               math.nan, math.inf, 0.0, -1.0])
+def test_complex_order_refuses_all_but_a_finite_positive_scalar(x):
+    with pytest.raises(ValueError, match="scalar x"):
+        k_complex_order(OrderSpec(1.0, 2.0), x)
+    assert kernel._contour_point.cache_info().currsize == 0
 
 
 def _levels(x, tau, mu, cfg, monkeypatch):

@@ -11,7 +11,10 @@ up.  Each call is charged to the nearest package function outside
 `quadrature` on the stack (the caller of `integrate`, or of `panel_sums`
 itself), with the number of values its integrand returned and the time the
 call took.  Prints one row per call site, the most nodes first, then the
-total.  The benchmark's
+total, then the batch's one-point contour calls (`k_itau_oracle` and
+`k_complex_order`) and how many of them the point memo served, read from
+`kernel._contour_point.cache_info()` after a batch started with the memo
+empty.  The benchmark's
 own tracer counts 16 nodes a panel; these are the values the integrands
 return.  Standard library only, besides the package and the benchmark's
 `worker` and `speed` modules, which it imports and does not change.
@@ -27,7 +30,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import klbessel as kb  # noqa: E402
-from klbessel import bounds, quadrature, summability  # noqa: E402
+from klbessel import bounds, kernel, quadrature, summability  # noqa: E402
 
 import speed  # noqa: E402
 import worker  # noqa: E402
@@ -79,7 +82,10 @@ def main(argv=None):
     sites = {}
     install(sites)
     batch = worker.Batch(speed.Clock(every=None))
-    worker.run_paper(kb, batch, worker.setup_paper(kb, args.seed, args.rep))
+    state = worker.setup_paper(kb, args.seed, args.rep)
+    kernel._contour_point.cache_clear()
+    worker.run_paper(kb, batch, state)
+    memo = kernel._contour_point.cache_info()
     print(f"paper_checks batch, seed {args.seed}, repetition {args.rep}: "
           f"{batch.clock.plain:.3f} s, {batch.failed} of {batch.attempted} operations failed")
     print(f"{'call site':<34} {'panel_sums':>10} {'nodes':>10} {'seconds':>8}")
@@ -87,6 +93,8 @@ def main(argv=None):
         print(f"{site:<34} {calls:>10,} {nodes:>10,} {seconds:>8.4f}")
     calls, nodes, seconds = (sum(row[i] for row in sites.values()) for i in range(3))
     print(f"{'total':<34} {calls:>10,} {nodes:>10,} {seconds:>8.4f}")
+    print(f"one-point contour calls: {memo.hits + memo.misses:,}, "
+          f"served by the point memo: {memo.hits:,}")
     for error in batch.errors:
         print(f"failed: {error}")
     return 1 if batch.errors else 0
