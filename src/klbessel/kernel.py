@@ -94,6 +94,8 @@ _ANGLES = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
 _COS = np.cos(_ANGLES)
 _STRIDE = 16  # the coarse scan takes every 16th grid angle
 _COARSE = np.arange(0, _ANGLES.size, _STRIDE)
+_COARSE_ANGLES = _ANGLES[_COARSE]
+_NEAR, _CELL = np.arange(2 * _STRIDE + 1), np.arange(_STRIDE)  # the angles of the later passes
 _LATE = np.resize(np.arange(_COARSE[-1] + 1, _ANGLES.size), _COARSE.size - 1)  # past the last coarse
 _MAX_NODES = 1 << 20  # a row whose Poisson count exceeds this is refused
 
@@ -106,9 +108,10 @@ def _log_k(x, j, mu=0.0):
     return np.log(k) - z
 
 
-def _first(mask, start):
-    """Per row, start plus the first True column of mask; the grid size where none is."""
-    return np.where(mask.any(axis=1), start + np.argmax(mask, axis=1), _ANGLES.size)
+def _first(g, j, within):
+    """Per row, the first of the increasing grid angle indices j whose g is
+    within the row's bound; the grid size where none is."""
+    return np.where(g <= within, j, _ANGLES.size).min(axis=1)
 
 
 def _angle_search(x, tau):
@@ -130,22 +133,22 @@ def _angle_search(x, tau):
     """
     theta, log_k0 = np.empty(x.shape), np.empty((x.size, _COARSE.size))
     order = np.argsort(x, kind="stable")
-    near_k, cell_k = np.arange(2 * _STRIDE + 1), np.arange(_STRIDE)
     rows = _BLOCK // 64  # the widest pass takes 33 angles per point
     for i in range(0, x.size, rows):
         r = order[i:i + rows]
         xr, tr = x[r], tau[r, None]
-        xs, which = np.unique(xr, return_inverse=True)
-        log_k0[r] = _log_k(xs, _COARSE)[which]
-        coarse = log_k0[r] - tr * _ANGLES[_COARSE]
-        near = np.clip(_STRIDE * np.argmin(coarse, axis=1) - _STRIDE, 0, _ANGLES.size - near_k.size)
-        j = near[:, None] + near_k
-        g_near = _log_k(xr, j) - tr * _ANGLES[j]
+        new = np.concatenate(([True], xr[1:] != xr[:-1]))  # xr is sorted: its distinct x
+        log_k0[r] = log_k = _log_k(xr[new], _COARSE)[new.cumsum() - 1]
+        coarse = log_k - tr * _COARSE_ANGLES
+        near = np.minimum(np.maximum(_STRIDE * coarse.argmin(axis=1) - _STRIDE, 0),
+                          _ANGLES.size - _NEAR.size)
+        j_near = near[:, None] + _NEAR
+        g_near = _log_k(xr, j_near) - tr * _ANGLES[j_near]
         within = g_near.min(axis=1, keepdims=True) + 3.0
-        cell = np.maximum(_STRIDE * np.argmax(coarse <= within, axis=1) - _STRIDE + 1, 0)
-        j = cell[:, None] + cell_k
-        g_cell = _log_k(xr, j) - tr * _ANGLES[j]
-        theta[r] = _ANGLES[np.minimum(_first(g_near <= within, near), _first(g_cell <= within, cell))]
+        cell = np.maximum(_STRIDE * (coarse <= within).argmax(axis=1) - _STRIDE + 1, 0)
+        j_cell = cell[:, None] + _CELL
+        g_cell = _log_k(xr, j_cell) - tr * _ANGLES[j_cell]
+        theta[r] = _ANGLES[np.minimum(_first(g_near, j_near, within), _first(g_cell, j_cell, within))]
     return theta, log_k0
 
 
@@ -178,7 +181,7 @@ def _contour_angles(x, tau):
 def _cosh_cut(c, drift, budget):
     """Smallest u with c(cosh u - 1) - drift*u >= budget, per row, plus one safety unit."""
     u = np.arccosh(1.0 + budget / c)
-    for _ in range(4):
+    for _ in range(4 if drift else 0):  # at drift 0 each step repeats the first
         u = np.arccosh(1.0 + (budget + drift * u) / c)
     return u + 1.0
 
@@ -191,8 +194,8 @@ def _node_count(x, tau, theta, c, u_max, mu, log_k0, log_target):
     else:
         xs, which = np.unique(x, return_inverse=True)
         log_k = _log_k(xs, _COARSE[1:], mu)[which]
-    lead, t = log_k + (c - log_target)[:, None], _ANGLES[_COARSE[1:]]
-    past = theta >= _ANGLES[_COARSE[-1]]
+    lead, t = log_k + (c - log_target)[:, None], _COARSE_ANGLES[1:]
+    past = theta >= _COARSE_ANGLES[-1]
     if past.any():  # no coarse angle past theta: these rows take the grid angles past the last
         t = np.where(past[:, None], _ANGLES[_LATE], t)
         lead[past] = _log_k(x[past], _LATE, mu) + (c - log_target)[past, None]
@@ -220,10 +223,10 @@ def _trapezoid(f, width, n, dtype):
     of n[r] intervals on [0, width[r]] per row r, the rows of one n summed
     together: ``(integral, 8 eps h sum|f|)``, (0, 0) where n[r] = 0 and
     NaNs where n[r] is inf."""
-    integral = np.where(n == 0, 0.0, np.nan).astype(dtype)
     roundoff = np.where(n == 0, 0.0, np.nan)
-    for m in np.unique(n[(n > 0) & np.isfinite(n)]):
-        rows = np.flatnonzero(n == m)
+    integral = roundoff.astype(dtype)
+    for m in sorted(set(n[(n > 0) & np.isfinite(n)].tolist())):  # np.unique costs more at one point
+        rows = (n == m).nonzero()[0]
         h = width[rows] / m
         total, mass = _row_sums(f, rows, h, np.arange(1.0, m + 1.0), dtype)
         integral[rows], roundoff[rows] = h * (0.5 + total), ROUNDOFF_FLOOR * h * (0.5 + mass)
@@ -281,7 +284,7 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
     """
     x, tau = (a.ravel() for a in np.broadcast_arrays(np.asarray(x, float), np.asarray(tau, float)))
     valid = np.isfinite(x) & (x > 0.0) & np.isfinite(tau) & (tau > 0.0)
-    if not (np.all(valid) and math.isfinite(mu)):
+    if not (valid.all() and math.isfinite(mu)):
         raise ValueError("x and tau must be finite and positive, and mu finite")
     theta, log_k0 = _contour_angles(x, tau)
     c, s = x * np.cos(theta), x * np.sin(theta)
@@ -305,8 +308,9 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
 
     integral, roundoff = _trapezoid(f, u_max, n, float if mu == 0.0 else complex)
     # the aliasing target, the sum's roundoff and the rounding of c + tau theta
-    bound = np.exp(log_target) + roundoff + 2.0 * _EPS * (1.0 - log_factor) * np.abs(integral)
-    accepted = bound <= cfg.abs_tol + cfg.rel_tol * np.abs(integral)
+    size = np.abs(integral)
+    bound = np.exp(log_target) + roundoff + 2.0 * _EPS * (1.0 - log_factor) * size
+    accepted = bound <= cfg.abs_tol + cfg.rel_tol * size
     phase = 1j * mu * theta if mu != 0.0 else 0.0
     values = np.where(accepted, np.exp(log_factor + phase) * integral, np.nan)
     return values, np.where(np.isnan(bound), np.inf, bound * np.exp(log_factor))

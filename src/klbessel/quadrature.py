@@ -18,6 +18,7 @@ rather than met by two sums that happen to round alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,7 @@ def panel_sums(f, edges):
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
+    pts = mid[:, None] + half[:, None] * _NODES
     vals = np.asarray(f(pts.ravel())).reshape(pts.shape)
     # not ``@``: BLAS would spread these small products over every core;
     # the Gauss nodes are the odd columns
@@ -142,11 +143,11 @@ def _level(f, edges, achieved):
         raise AccuracyError(f"quadrature level of {nodes} nodes exceeds the cap of {MAX_NODES}",
                             achieved=achieved)
     kronrod, gauss = panel_sums(f, edges)
-    mass = float(np.sum(np.abs(kronrod)))
-    if not np.isfinite(mass):
+    mass = float(np.abs(kronrod).sum())
+    if not math.isfinite(mass):
         raise AccuracyError("quadrature level is not finite", achieved=np.inf)
-    value = np.sum(kronrod)
-    return value, float(abs(value - np.sum(gauss))), mass
+    value = kronrod.sum()
+    return value, float(abs(value - gauss.sum())), mass
 
 
 def integrate(f, edges, cfg=DEFAULT_CONFIG):
@@ -192,6 +193,10 @@ def integrate(f, edges, cfg=DEFAULT_CONFIG):
 
 _PHASE_SPACING = 2.0 * np.pi  # phase advance per `phase_edges` panel
 _MIN_PANELS = 8  # uniform panels `phase_edges` merges in
+# k / 4096 for k = 0..4096: as 4096 is a power of two, lo + (hi - lo) * _UNIT
+# is np.linspace(lo, hi, 4097) bit for bit but for its last point, hi, and
+# every 512th point of it np.linspace(lo, hi, 9)
+_UNIT = np.arange(4097) / 4096
 
 
 def phase_edges(phase, lo, hi):
@@ -204,11 +209,13 @@ def phase_edges(phase, lo, hi):
     than `MAX_CROSSINGS` (2^14) crossings `AccuracyError`, both before the
     crossings are placed.
     """
-    grid = np.linspace(lo, hi, 4097)
+    grid = lo + (hi - lo) * _UNIT
+    grid[-1] = hi
+    uniform = grid[::(_UNIT.size - 1) // _MIN_PANELS]
     with np.errstate(over="ignore", invalid="ignore"):
         pv = np.asarray(phase(grid), dtype=float)
     span = pv[-1] - pv[0]
-    if not np.isfinite(span):
+    if not math.isfinite(span):
         raise ValueError(f"the phase span on [{lo!r}, {hi!r}] is not finite")
     if span >= (MAX_CROSSINGS + 1) * _PHASE_SPACING:
         raise AccuracyError(f"the phase spans {span:.3g} on [{lo!r}, {hi!r}], more than "
@@ -220,10 +227,9 @@ def phase_edges(phase, lo, hi):
         pv = np.asarray(phase(grid), dtype=float)
     targets = pv[0] + _PHASE_SPACING * np.arange(1, n_cross + 1)
     crossings = np.interp(targets, pv, grid)
-    uniform = np.linspace(lo, hi, _MIN_PANELS + 1)
-    edges = np.unique(np.concatenate((crossings, uniform)))
-    # guard against duplicate or out-of-range interpolation artifacts
-    edges = edges[(edges >= lo) & (edges <= hi)]
+    edges = np.sort(np.concatenate((crossings, uniform)))
+    # distinct edges in [lo, hi], against duplicate or out-of-range interpolation artifacts
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1])) & (edges >= lo) & (edges <= hi)]
     if edges[0] != lo:
         edges = np.concatenate(([lo], edges))
     if edges[-1] != hi:

@@ -692,6 +692,37 @@ def test_smallx_matches_frozen_reference(x, tau):
     assert abs(k_itau_smallx(EvaluationPoint(x, tau)) - want) <= 2e-12 * abs(want)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+def test_contour_batch_equals_one_point_calls(cfg, mu):
+    # one path for one point and for arrays: a batch sorts its points by x
+    # and evaluates the coarse angle pass once per distinct x, so every third
+    # x repeats the one before it; values and bounds agree bit for bit
+    rng = np.random.default_rng(3011)
+    x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), 300))
+    tau = np.exp(rng.uniform(math.log(0.1), math.log(40.0), 300))
+    x[2::3] = x[1::3]
+    values, achieved = contour_values(x, tau, mu, cfg)
+    for i in range(x.size):
+        one = contour_values(x[i], tau[i], mu, cfg)
+        assert (one[0].tobytes(), one[1].tobytes()) == (values[i:i + 1].tobytes(),
+                                                      achieved[i:i + 1].tobytes()), i
+
+
+def test_cosh_cut_without_drift_equals_the_iterated_form():
+    # at drift 0 each fixed-point step of u = arccosh(1 + (b + drift u)/c)
+    # repeats the first, so skipping them changes no bit
+    def iterated(c, drift, budget):
+        u = np.arccosh(1.0 + budget / c)
+        for _ in range(4):
+            u = np.arccosh(1.0 + (budget + drift * u) / c)
+        return u + 1.0
+
+    c = np.exp(np.random.default_rng(7).uniform(math.log(1e-4), math.log(1e3), 2000))
+    for budget in (math.log(1e18), 1.0, 100.0):
+        assert kernel._cosh_cut(c, 0.0, budget).tobytes() == iterated(c, 0.0, budget).tobytes()
+    assert kernel._cosh_cut(c, 1.0, 41.0).tobytes() == iterated(c, 1.0, 41.0).tobytes()
+
+
 def test_defseries_batch_equals_one_point_calls():
     # nodes stop on their own: x = 1e-9 after a term or two, x = 20 after
     # dozens, so a batch mixes stopped and running nodes; 20,000 nodes make

@@ -195,6 +195,43 @@ def test_phase_edges_span_one_period_per_panel(phase, hi):
     assert edges.size <= int(phase(hi) / (2.0 * math.pi)) + 10
 
 
+def _linspace_phase_edges(phase, lo, hi):
+    """`phase_edges` as it was built on np.linspace and np.unique, the
+    reference its unit-grid form must equal bit for bit."""
+    grid = np.linspace(lo, hi, 4097)
+    pv = np.asarray(phase(grid), dtype=float)
+    n_cross = int((pv[-1] - pv[0]) / (2.0 * np.pi))
+    if n_cross > 512:
+        grid = np.linspace(lo, hi, 8 * n_cross + 1)
+        pv = np.asarray(phase(grid), dtype=float)
+    crossings = np.interp(pv[0] + 2.0 * np.pi * np.arange(1, n_cross + 1), pv, grid)
+    edges = np.unique(np.concatenate((crossings, np.linspace(lo, hi, 9))))
+    edges = edges[(edges >= lo) & (edges <= hi)]
+    if edges[0] != lo:
+        edges = np.concatenate(([lo], edges))
+    if edges[-1] != hi:
+        edges = np.concatenate((edges, [hi]))
+    return edges
+
+
+def test_phase_edges_equal_their_linspace_form_bit_for_bit():
+    # seeded spans from 1e-3 to 400 wide, starting at 0, at 1e-12 (as
+    # `_verify_eq_1_4` does) or anywhere in [0, 50], with hi rounded to six
+    # digits so that lo + (hi - lo) is not always hi; linear, chirped and
+    # arcsinh phases, some past 512 crossings onto the refined grid
+    rng = np.random.default_rng(32)
+    refined = 0
+    for i in range(600):
+        lo = (0.0, 1e-12, rng.uniform(0.0, 50.0))[i % 3]
+        hi = float(f"{lo + math.exp(rng.uniform(math.log(1e-3), math.log(400.0))):.6g}")
+        k = math.exp(rng.uniform(math.log(0.01), math.log(40.0)))
+        for phase in (lambda t: k * t, lambda t: k * t * t / hi, lambda t: k * np.arcsinh(t) + t):
+            want = _linspace_phase_edges(phase, lo, hi)
+            refined += want.size > 513 + 9
+            assert phase_edges(phase, lo, hi).tobytes() == want.tobytes(), (lo, hi, k)
+    assert refined > 0
+
+
 def test_phase_edges_cover_and_order():
     edges = phase_edges(lambda u: 3.0 * u, 0.0, 10.0)
     assert edges[0] == 0.0 and edges[-1] == 10.0
