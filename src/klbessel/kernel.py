@@ -2,7 +2,7 @@
 
 Three independent routes are provided for K_{i tau}(x): a rotated-contour
 trapezoid oracle, a series-plus-remainder key formula (Gauss-Kronrod panels
-for the remainder), and the definitional series through I_{+-i tau}.  They
+on a complex ray for the remainder), and the definitional series through I_{+-i tau}.  They
 share no numerical machinery beyond the roundoff floor a value is judged
 against, so pairwise agreement is a genuine cross-check.  The oracle and the
 complex-order evaluator are single points of one array evaluator,
@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special as _sp
 
-from .quadrature import (AccuracyError, DEFAULT_CONFIG, ROUNDOFF_FLOOR, TRUNCATION, integrate,
-                         phase_edges)
+from .quadrature import AccuracyError, DEFAULT_CONFIG, ROUNDOFF_FLOOR, TRUNCATION, integrate
 
 __all__ = [
     "EvaluationPoint",
@@ -387,8 +386,9 @@ def _gamma_over_scale(tau):
 
 
 def _horner(coeffs, t):
-    """`np.polyval`(coeffs, t) for an array t, in place: K steps of y *= t; y += c."""
-    y = np.full(t.shape, coeffs[0])
+    """`np.polyval`(coeffs, t) for an array t, real or complex, in place:
+    K steps of y *= t; y += c."""
+    y = np.full(t.shape, coeffs[0], dtype=t.dtype)
     for c in coeffs[1:]:
         y *= t
         y += c
@@ -424,6 +424,10 @@ def _entire_g(w_max, N):
     raise AccuracyError("entire-part series overflowed or did not terminate")
 
 
+# r / r_max at the edges of the key-formula remainder's ten ray panels
+_RAY_UNIT = np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 3 / 8, 1 / 2, 5 / 8, 3 / 4, 7 / 8, 1.0])
+
+
 def _remainder_integral(x, tau, N, cfg):
     """The key-formula remainder after removing the oscillatory power x^{2 i tau}.
 
@@ -432,22 +436,32 @@ def _remainder_integral(x, tau, N, cfg):
         x^{2 i tau} / (2^N (1-i tau)_N) *
             int_0^x (x^2 - y^2)^{N - i tau} I_{N+1}(y) y^{-N} dy
 
-    into a smooth damped-oscillatory integral on (0, inf):
+    into a smooth damped-oscillatory integral on (0, inf), alpha = (2N+2) - 2i tau:
 
-        x^{2N+2} / (2^N (1-i tau)_N) *
-            int_0^inf e^{-(2N+2) v} e^{2 i tau v} G(x^2 (1 - e^{-2v})) dv,
+        x^{2N+2} / (2^N (1-i tau)_N) * int_0^inf e^{-alpha v} G(x^2 (1 - e^{-2v})) dv,
 
     with G entire (see `_entire_g`).  The substitution removes both the
     endpoint derivative blow-up at y = x and the x^{2 i tau} phase.  The
-    kernel needs the bracket 1 + S_N + T_N only to the key-formula budget
-    of its natural scale, so that budget is the integral's absolute
-    tolerance; rel_tol of |T_N| alone refuses integrals that cancel over
-    their oscillation (N = 0 at x = 18, tau = 10).  G increases, so
+    integral is taken on the ray v = r e^{i phi}, tan phi = tau / (N+1),
+    where e^{-alpha v} = e^{-|alpha| r} does not oscillate (Huybrechs and
+    Vandewalle, SIAM J. Numer. Anal. 44 (2006)).  Cauchy's theorem allows
+    the turn: the integrand is entire, and on 0 <= arg v <= phi,
+    |e^{-alpha v}| <= e^{-(2N+2) |v|} and |G(w)| <= G(|w|) (G's coefficients
+    are positive), with |1 - e^{-2v}| <= min(2, 2 |v|).  So on the ray
+    |G| <= G(2 x^2) <= G(x^2) e^{(sqrt 2 - 1) x}, log G(s^2) growing at most
+    like s; that bound sets the cut r_max = (log 1/TRUNCATION + log bound) /
+    |alpha|, and G's table is sized at x^2 min(2, 2 r_max).  The ten panels,
+    r_max `_RAY_UNIT`, are graded toward r = 0, where G rises at large x;
+    G's own phase, 2 r sin(phi), turns under 6 times before the cut wherever
+    the refusal below lets the quadrature run, and `integrate` halves them
+    where they do not resolve it.  The kernel needs the bracket 1 + S_N + T_N
+    only to the key-formula budget of its natural scale, so that budget is
+    the integral's absolute tolerance.  G increases on v >= 0, so
     |T_N| <= |x^{2N+2} / (2^N (1-i tau)_N)| G(x^2) / (2N+2); below machine
     epsilon, the bracket's own rounding, T_N is 0 with no quadrature (its
     prefactor may underflow there).
 
-    The rounding of the panel sums is about 8 eps (2/pi) int E, the
+    The rounding of real-axis panel sums is about 8 eps (2/pi) int E, the
     roundoff floor of half-period panels, with E(v) = e^{-(2N+2) v}
     G(x^2 (1 - e^{-2v})) the envelope.  Where that floor, int E bounded
     below by e^{-(2N+2) b} G(x^2 (1 - e^{-2a})) on 32 pieces [a, b] of
@@ -455,32 +469,41 @@ def _remainder_integral(x, tau, N, cfg):
     integral cancels past recovery and `AccuracyError` is raised before any
     quadrature, ``achieved`` being that floor on the natural scale; the
     bound int E <= G(x^2)/(2N+2) skips the check where it cannot fire.
-    Raises it too where `_entire_g` does or the integral fails.
+    This refusal and the zero rule read T_N and the real axis, which the
+    turn does not change, so they refuse and vanish where they did.  The
+    ray's sums round at eps int |f|, at most about int E and often far
+    less, so the refusal is conservative; a floor derived on the ray would
+    refuse fewer points.  Raises it too where `_entire_g` does or the
+    integral fails.
     """
     coeffs, scale, g_far = _entire_g(x * x, N)
 
     def g(v):
-        """G(x^2 (1 - e^{-2v})) on an array v."""
+        """G(x^2 (1 - e^{-2v})) on an array v, real or on the ray."""
         return _horner(coeffs, x * x * (1.0 - np.exp(-2.0 * v)) / scale)
 
     log_bound = (2 * N + 2) * math.log(x) - N * math.log(2.0) + math.log(g_far / (2 * N + 2))
     if log_bound - sum(math.log(math.hypot(k, tau)) for k in range(1, N + 1)) < math.log(_EPS):
         return 0j
-    v_max = (math.log(1.0 / TRUNCATION) + max(0.0, math.log(g_far))) / (2.0 * N + 2.0)
     rising = math.prod((1 - 1j * tau + k for k in range(N)), start=complex(1.0))  # (1 - i tau)_N
     prefactor = x ** (2 * N + 2) / (2.0 ** N * rising)
     need = _KEYFORMULA_BUDGET / (_gamma_over_scale(tau) * abs(prefactor))
     floor = 16.0 / math.pi * _EPS  # per unit of int E
     if floor * g_far / (2 * N + 2) > 1e3 * need:
+        v_max = (math.log(1.0 / TRUNCATION) + max(0.0, math.log(g_far))) / (2.0 * N + 2.0)
         a = np.linspace(0.0, v_max, 33)
         floor *= float(np.sum(np.diff(a) * np.exp(-(2.0 * N + 2.0) * a[1:]) * g(a[:-1])))
         if floor > 1e3 * need:
             raise AccuracyError("remainder integral cancels below its roundoff floor",
                                 achieved=floor / need * _KEYFORMULA_BUDGET)
-    edges = phase_edges(lambda v: 2.0 * tau * v, 0.0, v_max)
-    integral = integrate(lambda v: np.exp((-(2.0 * N + 2.0) + 2j * tau) * v) * g(v),
-                         edges, replace(cfg, abs_tol=need))
-    return prefactor * complex(integral)
+    alpha = 2.0 * math.hypot(N + 1.0, tau)  # |alpha|
+    ray = complex(N + 1.0, tau) / (0.5 * alpha)  # e^{i phi}
+    r_max = (math.log(1.0 / TRUNCATION) + max(0.0, math.log(g_far) + (math.sqrt(2.0) - 1.0) * x)) / alpha
+    if r_max > 0.5:  # g reads the table sized for the ray
+        coeffs, scale, _ = _entire_g(x * x * min(2.0, 2.0 * r_max), N)
+    integral = integrate(lambda r: np.exp(-alpha * r) * g(ray * r), r_max * _RAY_UNIT,
+                         replace(cfg, abs_tol=need))
+    return prefactor * ray * complex(integral)
 
 
 def _series_and_remainder(x, tau, N, cfg):

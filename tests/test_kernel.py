@@ -3,6 +3,7 @@ import importlib.util
 import math
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from scipy import special
 
-from klbessel import kernel
+from klbessel import kernel, quadrature
 from klbessel.asymptotic import remainder_explicit, remainder_measured
 from klbessel.kernel import (
     EvaluationPoint,
@@ -23,7 +24,8 @@ from klbessel.kernel import (
     k_itau_smallx,
     natural_scale,
 )
-from klbessel.quadrature import AccuracyError, QuadratureConfig
+from klbessel.quadrature import (AccuracyError, QuadratureConfig, ROUNDOFF_FLOOR, TRUNCATION, integrate,
+                                 phase_edges)
 from klbessel.special import bessel_k0
 
 # Frozen reference values, computed once with 50-digit arithmetic from the
@@ -608,12 +610,100 @@ def test_remainder_refusal_spares_the_benchmark_inputs(cfg, monkeypatch):
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(kernel, "phase_edges", reached)
+    monkeypatch.setattr(kernel, "integrate", reached)
     for x, tau, N in points:
         try:
             kernel._remainder_integral(x, tau, N, cfg)  # T_N = 0 where it is below eps
         except Reached:
             pass
+
+
+def _real_axis_remainder(x, tau, N, cfg):
+    """T_N integrated on the real axis v >= 0, one `phase_edges` panel per
+    period of e^{2i tau v}, as the key formula took it before its path was
+    turned onto the ray; returns T_N and |prefactor| int |f|, the scale of
+    the panel sums' rounding."""
+    coeffs, scale, g_far = kernel._entire_g(x * x, N)
+    v_max = (math.log(1.0 / TRUNCATION) + max(0.0, math.log(g_far))) / (2.0 * N + 2.0)
+    rising = math.prod((1 - 1j * tau + k for k in range(N)), start=complex(1.0))
+    prefactor = x ** (2 * N + 2) / (2.0 ** N * rising)
+    need = 1e-8 / (kernel._gamma_over_scale(tau) * abs(prefactor))
+
+    def g(v):
+        return kernel._horner(coeffs, x * x * (1.0 - np.exp(-2.0 * v)) / scale)
+
+    edges = phase_edges(lambda v: 2.0 * tau * v, 0.0, v_max)
+    value = integrate(lambda v: np.exp((-(2.0 * N + 2.0) + 2j * tau) * v) * g(v),
+                      edges, replace(cfg, abs_tol=need))
+    mass = integrate(lambda v: np.exp(-(2.0 * N + 2.0) * v) * g(v), edges, cfg)
+    return prefactor * complex(value), abs(prefactor) * mass
+
+
+def test_remainder_on_the_ray_equals_the_real_axis_quadrature(cfg):
+    # within 1e-3 of the key-formula budget on the natural scale, plus the
+    # panel sums' rounding, ROUNDOFF_FLOOR times the envelope's integral
+    # (each path rounds at eps int |f|, at most about that): |T_N| grows
+    # with x to 5e6 on the natural scale at x = 18, and both paths err by a
+    # few eps |T_N| (1.9e-9 apart at x = 17.3, where 50-digit mpmath puts
+    # the ray 3.2e-9 off and the real axis 1.2e-9); at x <= 12 they differ
+    # by at most 2.2e-12
+    rng = np.random.default_rng(33)
+    xs = rng.uniform(0.1, 18.0, 200)
+    taus = np.exp(rng.uniform(math.log(0.5), math.log(40.0), 200))
+    worst = 0.0
+    for x, tau, N in zip(xs, taus, rng.choice([0, 1, 4, 10, 20], 200)):
+        x, tau, N = float(x), float(tau), int(N)
+        got = kernel._remainder_integral(x, tau, N, cfg)
+        want, mass = _real_axis_remainder(x, tau, N, cfg)
+        ratio = kernel._gamma_over_scale(tau)
+        worst = max(worst, ratio * abs(got - want) / (1e-11 + ROUNDOFF_FLOOR * ratio * mass))
+    assert worst <= 1.0, worst
+
+
+def _levels_per_remainder(points, cfg, panel_nodes):
+    """The largest number of `integrate` levels one `_remainder_integral`
+    call of ``points`` took (each level is one `panel_sums` call)."""
+    most = 0
+    for x, tau, N in points:
+        panel_nodes.clear()
+        kernel._remainder_integral(float(x), float(tau), N, cfg)
+        most = max(most, len(panel_nodes))
+    return most
+
+
+def test_remainder_accepts_its_first_level(cfg, panel_nodes):
+    # criterion 1's grid, criterion 5's 6x3 grid and a 12x12 grid: the
+    # graded ray panels resolve G near r = 0 at large x and small tau
+    # (x = 10, tau near 1, N = 0 took a second level on the real axis)
+    grids = [
+        [(x, tau, N) for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+         for tau in (0.5, 1.0, 2.0, 5.0, 10.0) for N in (0, 2, 4)],
+        [(x, tau, N) for x in (0.25, 1.0, 5.0)
+         for tau in (1.0, 2.0, 5.0, 10.0, 20.0, 40.0) for N in (1, 2, 3)],
+        [(x, tau, N) for x in np.geomspace(0.1, 10.0, 12)
+         for tau in np.geomspace(0.5, 10.0, 12) for N in (0, 2, 4)],
+    ]
+    for points in grids:
+        assert _levels_per_remainder(points, cfg, panel_nodes) == 1
+
+
+def test_remainder_panel_sums_keep_the_mass_of_the_integrand(cfg, monkeypatch):
+    # integrate floors its estimate at 8 eps sum |Kronrod panel sums|; on the
+    # ray the panels do not cancel, so that sum tracks int |f| (the one-period
+    # real-axis panels kept 0.078 of it at this point)
+    levels = []
+    panel_sums = quadrature.panel_sums
+
+    def recording(f, edges):
+        levels.append((f, edges))
+        return panel_sums(f, edges)
+
+    monkeypatch.setattr(quadrature, "panel_sums", recording)
+    kernel._remainder_integral(18.0, 10.0, 0, cfg)
+    assert len(levels) == 1
+    f, edges = levels[0]
+    mass = np.abs(panel_sums(f, edges)[0]).sum()
+    assert mass >= 0.5 * panel_sums(lambda r: np.abs(f(r)), edges)[0].sum()
 
 
 @pytest.mark.parametrize("x", [30.0, 100.0])

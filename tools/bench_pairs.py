@@ -6,6 +6,8 @@ usage: python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A
 For each seed in A..B, `perfbench/run.py --workload W --seed N --seconds S`
 runs once in each checkout, the side that goes first alternating from pair
 to pair so that a drift of the machine's speed falls on both sides alike.
+S defaults to `run_seconds` of the `BENCHMARK.json` next to `tools`, the
+run length of the benchmark itself.
 Each run is a fresh process started in its own checkout, so each side
 benchmarks its own source.  Make both checkouts fresh copies side by side in
 one directory (git archive or git clone of each commit): figures move with a
@@ -29,10 +31,17 @@ import statistics
 import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 # the fields of run.py's record that describe the machine and its libraries
 MACHINE = ("nproc", "machine", "python", "numpy", "scipy", "blas", "mpmath", "thread_env")
+
+
+def run_seconds():
+    """`run_seconds` of the `BENCHMARK.json` next to `tools`."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return float(json.load(fh)["run_seconds"])
 
 
 def seed_range(text):
@@ -84,7 +93,8 @@ def main(argv=None):
     p.add_argument("change", help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=seed_range, help="A-B, inclusive")
-    p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--seconds", type=float, default=run_seconds(),
+                   help="length of each run (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--out", required=True, help="the JSON file, BENCH_<n>.json by convention")
     args = p.parse_args(argv)
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
