@@ -91,10 +91,12 @@ def natural_scale(tau):
 _BLOCK = 1 << 15
 _ANGLES = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
 _COS = np.cos(_ANGLES)
-_STRIDE = 16  # the coarse scan takes every 16th grid angle
-_COARSE = np.arange(0, _ANGLES.size, _STRIDE)
+_COARSE = np.arange(0, _ANGLES.size, 16)  # every 16th grid angle
 _COARSE_ANGLES = _ANGLES[_COARSE]
-_NEAR, _CELL = np.arange(2 * _STRIDE + 1), np.arange(_STRIDE)  # the angles of the later passes
+# the angle search's row: the coarse angles and four closer to pi/2, where a
+# large tau puts the minimum; and each one's gap to the one before
+_ROW = np.concatenate((_COARSE, [504, 508, 510, 511]))
+_GAP = np.diff(_ROW, prepend=0)
 _LATE = np.resize(np.arange(_COARSE[-1] + 1, _ANGLES.size), _COARSE.size - 1)  # past the last coarse
 _MAX_NODES = 1 << 20  # a row whose Poisson count exceeds this is refused
 
@@ -107,47 +109,41 @@ def _log_k(x, j, mu=0.0):
     return np.log(k) - z
 
 
-def _first(g, j, within):
-    """Per row, the first of the increasing grid angle indices j whose g is
-    within the row's bound; the grid size where none is."""
-    return np.where(g <= within, j, _ANGLES.size).min(axis=1)
-
-
 def _angle_search(x, tau):
-    """Per point, the first of 512 grid angles t within 3 nats of the grid
-    minimum of g(t) = -tau t + log K_0(x cos t), the integrand magnitude on
-    the contour rotated by t.  Cancellation there is at most e^3 times
-    algebraic factors; any angle gives an exact representation.
+    """Per point, a grid angle t where g(t) = -tau t + log K_0(x cos t), the
+    integrand magnitude on the contour rotated by t, is within about 3 nats
+    of its minimum.  Cancellation there is at most e^3 times algebraic
+    factors; any angle gives an exact representation.
 
     g is convex: g'(t) = -tau + x sin t K_1/K_0(x cos t) increases with t.
-    So the grid minimum lies within one coarse step of the minimum over
-    every 16th angle, and the first angle within 3 nats lies in the
-    16-angle cell that ends at the first coarse angle within 3 nats, or
-    next to the minimum when no coarse angle is.  Three passes, of 32
-    coarse angles, 33 angles around the coarse minimum and that cell's 16,
-    find the angle of a scan of the whole grid at 81 `k0e` calls per point.
-    Rows are taken in order of x, so a block evaluates the coarse pass once
-    per distinct x.  Returns ``(theta, log_k0)``, log_k0 the coarse pass's
+    One pass takes g at the 36 grid angles of `_ROW`; the level is their
+    minimum plus 3 nats.  theta is where the chord of g between the row's
+    first angle at or below the level and the angle before it meets the
+    level, snapped up to the next grid angle, so that the angles
+    `_node_count` takes ahead of theta stay a grid step or more away.  The
+    chord lies above the convex g, so g(theta) is at most the level (at
+    most 3.017 nats above the grid minimum over 10,000 seeded points).
+    Rows are taken in order of x, so a block evaluates log K_0 once per
+    distinct x.  Returns ``(theta, log_k0)``, log_k0 the coarse angles'
     log K_0(x cos t), a row per point, which `_node_count` reuses.
     """
     theta, log_k0 = np.empty(x.shape), np.empty((x.size, _COARSE.size))
     order = np.argsort(x, kind="stable")
-    rows = _BLOCK // 64  # the widest pass takes 33 angles per point
+    rows = _BLOCK // _ROW.size
     for i in range(0, x.size, rows):
         r = order[i:i + rows]
-        xr, tr = x[r], tau[r, None]
+        xr = x[r]
         new = np.concatenate(([True], xr[1:] != xr[:-1]))  # xr is sorted: its distinct x
-        log_k0[r] = log_k = _log_k(xr[new], _COARSE)[new.cumsum() - 1]
-        coarse = log_k - tr * _COARSE_ANGLES
-        near = np.minimum(np.maximum(_STRIDE * coarse.argmin(axis=1) - _STRIDE, 0),
-                          _ANGLES.size - _NEAR.size)
-        j_near = near[:, None] + _NEAR
-        g_near = _log_k(xr, j_near) - tr * _ANGLES[j_near]
-        within = g_near.min(axis=1, keepdims=True) + 3.0
-        cell = np.maximum(_STRIDE * (coarse <= within).argmax(axis=1) - _STRIDE + 1, 0)
-        j_cell = cell[:, None] + _CELL
-        g_cell = _log_k(xr, j_cell) - tr * _ANGLES[j_cell]
-        theta[r] = _ANGLES[np.minimum(_first(g_near, j_near, within), _first(g_cell, j_cell, within))]
+        log_k = _log_k(xr[new], _ROW)[new.cumsum() - 1]
+        log_k0[r] = log_k[:, :_COARSE.size]
+        g = log_k - tau[r, None] * _ANGLES[_ROW]
+        level = g.min(axis=1) + 3.0
+        k, n = (g <= level[:, None]).argmax(axis=1), np.arange(r.size)
+        at = g[n, k]
+        # no chord at k = 0, nor where g meets the level at the row angle (an
+        # infinite level too, where tau t overflows)
+        back = np.divide(level - at, g[n, k - 1] - at, out=np.zeros(r.size), where=(k > 0) & (at < level))
+        theta[r] = _ANGLES[_ROW[k] - (_GAP[k] * back).astype(int)]
     return theta, log_k0
 
 
@@ -159,8 +155,9 @@ def _contour_angles(x, tau):
     """`_angle_search` on raveled float64 arrays, with a one-entry memo.
 
     The angle memo: the orders of one grid share one search, as the
-    certification grid's five orders do.  It holds one point set (280
-    bytes a point with its key), is read once and replaced whole, so
+    certification grid's five orders do.  It holds one point set, 280
+    bytes a point: the angle, 32 coarse log K_0 values and the point's
+    8-byte x and tau in the key.  It is read once and replaced whole, so
     under threads a caller never pairs its key with another caller's
     search; the returned arrays are read-only.  Repeated one-point calls
     are served before they get here, by the point memo of `_contour_point`.
@@ -268,7 +265,7 @@ def contour_values(x, tau, mu=0.0, cfg=DEFAULT_CONFIG):
     within abs_tol + rel_tol |integral|; the bound times e^{-c - tau theta}
     is its ``achieved``.  A row with no count up to `_MAX_NODES` (2^20) is
     refused (from tau of about 1250).  The default 25x25 grid at the five
-    catalog orders takes 390,994 nodes, and its values err by at most
+    catalog orders takes 392,320 nodes, and its values err by at most
     4.8e-13 of max(natural scale, |K|), each within its ``achieved``
     (`tools/contour_accuracy.py`).  Taking e^{-c} out keeps the integral
     near unit size, so no tolerance is met by an integral that has simply

@@ -197,13 +197,40 @@ def test_contour_values_domain(x, tau, mu):
         contour_values(x, tau, mu)
 
 
+ANGLES = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
+
+
+def _grid_g(x, tau):
+    """g(t) = -tau t + log K_0(x cos t) at all 512 grid angles, a row per point."""
+    c = np.asarray(x)[:, None] * np.cos(ANGLES)
+    return np.log(special.k0e(c)) - c - np.asarray(tau)[:, None] * ANGLES
+
+
 def _full_scan_angles(x, tau):
     """The first of 512 grid angles within 3 nats of the grid minimum of
     g(t) = -tau t + log K_0(x cos t), scanning every angle."""
-    angles = np.linspace(0.0, 0.5 * math.pi - 1e-4, 512)
-    c = np.asarray(x)[:, None] * np.cos(angles)
-    g = np.log(special.k0e(c)) - c - np.asarray(tau)[:, None] * angles
-    return angles[np.argmax(g <= g.min(axis=1, keepdims=True) + 3.0, axis=1)]
+    g = _grid_g(x, tau)
+    return ANGLES[np.argmax(g <= g.min(axis=1, keepdims=True) + 3.0, axis=1)]
+
+
+# the search's row: every 16th grid angle, then four closer to pi/2
+ROW = [*range(0, 512, 16), 504, 508, 510, 511]
+
+
+def _chord_rule_angles(x, tau):
+    """The angle search's rule, point by point, from g on the whole grid:
+    the level is the row's minimum plus 3 nats; the chord through the row's
+    first angle at or below it and the angle before reaches the level at a
+    grid index, snapped up to the next whole one."""
+    theta = []
+    for i in range(0, len(x), 500):
+        for g in _grid_g(x[i:i + 500], tau[i:i + 500])[:, ROW]:
+            level = min(g) + 3.0
+            k = next(k for k, gk in enumerate(g) if gk <= level)
+            j = ROW[k] if k == 0 else ROW[k] - math.floor(
+                (ROW[k] - ROW[k - 1]) * ((level - g[k]) / (g[k - 1] - g[k])))
+            theta.append(ANGLES[j])
+    return np.array(theta)
 
 
 def _same(got, want):
@@ -213,22 +240,64 @@ def _same(got, want):
 CATALOG_CORNERS = ([0.01, 100.0, 0.01, 100.0], [0.1, 0.1, 40.0, 40.0])
 
 
-def test_contour_angles_match_full_scan():
+def _seeded_points(n=10_000):
     rng = np.random.default_rng(20221)
-    n = 10_000
     x = np.exp(rng.uniform(math.log(0.005), math.log(150.0), n))
-    tau = np.exp(rng.uniform(math.log(0.05), math.log(60.0), n))
-    want = np.concatenate([_full_scan_angles(x[i:i + 500], tau[i:i + 500]) for i in range(0, n, 500)])
-    assert np.array_equal(kernel._contour_angles(x, tau)[0], want)
-    grid_x, grid_tau = np.geomspace(0.01, 100.0, 25), np.geomspace(0.1, 40.0, 25)
-    x, tau = (a.ravel() for a in np.meshgrid(grid_x, grid_tau))
+    return x, np.exp(rng.uniform(math.log(0.05), math.log(60.0), n))
+
+
+def _default_grid():
+    return tuple(a.ravel() for a in np.meshgrid(np.geomspace(0.01, 100.0, 25),
+                                                np.geomspace(0.1, 40.0, 25)))
+
+
+def test_contour_angles_follow_the_chord_rule():
+    # the sorted, deduplicated, blocked search gives the slow rule's angles bit for bit
+    x, tau = _seeded_points()
+    assert np.array_equal(kernel._contour_angles(x, tau)[0], _chord_rule_angles(x, tau))
+    x, tau = _default_grid()
     theta, log_k0 = kernel._contour_angles(x, tau)
-    assert np.array_equal(theta, _full_scan_angles(x, tau))
+    assert np.array_equal(theta, _chord_rule_angles(x, tau))
     # the coarse log K_0 the Poisson count reuses at mu = 0, a row per point
     assert np.array_equal(log_k0, kernel._log_k(x, kernel._COARSE))
     for xi, ti in zip(*CATALOG_CORNERS):
         one, _ = kernel._contour_angles(np.array([xi]), np.array([ti]))
-        assert np.array_equal(one, _full_scan_angles([xi], [ti])), (xi, ti)
+        assert np.array_equal(one, _chord_rule_angles([xi], [ti])), (xi, ti)
+
+
+def test_contour_angles_stay_near_the_full_scan():
+    # within two grid steps of the first angle within 3 nats of the grid
+    # minimum, and g there at most 3.02 nats above that minimum (3.017 measured)
+    x, tau = (np.concatenate(pair) for pair in zip(_seeded_points(), _default_grid(), CATALOG_CORNERS))
+    theta, _ = kernel._contour_angles(x, tau)
+    j = np.searchsorted(ANGLES, theta)
+    assert np.array_equal(ANGLES[j], theta)
+    for i in range(0, x.size, 500):
+        g = _grid_g(x[i:i + 500], tau[i:i + 500])
+        scan = np.argmax(g <= g.min(axis=1, keepdims=True) + 3.0, axis=1)
+        assert np.abs(j[i:i + 500] - scan).max() <= 2
+        assert (g[np.arange(scan.size), j[i:i + 500]] - g.min(axis=1)).max() <= 3.02
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_contour_angle_past_the_last_coarse_angle_keeps_a_count(cfg, mu):
+    # at x = 100, tau in [196.575, 196.626] the level's chord crossing lies
+    # less than 2.5e-5 rad below the last coarse angle; that angle, off the
+    # grid, would leave `_node_count` one coarse angle ahead, too close to
+    # give a finite count; the grid angle it snaps to, the last coarse one,
+    # takes its count at the grid angles past it
+    tau = np.concatenate((np.geomspace(40.0, 400.0, 400), np.linspace(196.5, 196.7, 41)))
+    values, achieved = contour_values(100.0, tau, mu, cfg)
+    assert not np.isnan(values).any()
+    assert np.isfinite(achieved).all()
+
+
+def test_contour_angle_where_tau_t_overflows_is_refused(cfg):
+    # g is -inf from the angle where tau t overflows, and so is the level:
+    # the point takes that row angle and is refused, not indexed off the grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, achieved = contour_values(1.0, 1.7e308, 0.0, cfg)
+    assert np.isnan(values).all() and np.isinf(achieved).all()
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.1, 0.25, 0.5, 1.0])
@@ -428,7 +497,7 @@ def test_poisson_start_alone_meets_the_tolerance(cfg, monkeypatch):
 def test_contour_nodes_on_the_default_grid_stay_capped(cfg, monkeypatch):
     # a start at the phase rate alone took 2,015,840 trapezoid nodes here,
     # two levels from the analysis count 1,073,248 and from one halving
-    # below it 607,712; one level of the Poisson count takes 390,994
+    # below it 607,712; one level of the Poisson count takes 392,320
     nodes = []
     row_sums = kernel._row_sums
 
